@@ -2,27 +2,47 @@
 #define SKYPREF_CORE_ABSORPTION_H_
 
 /// \file
-/// The "absorption" preprocessing technique (Section 5, Theorem 3,
-/// Algorithm 3).
+/// Candidate filtering ahead of partition: the null-dominator prune and
+/// the "absorption" technique (Section 5, Theorem 3, Algorithm 3).
 ///
-/// Candidate Qj is absorbed by candidate Qi when Qj matches Qi on every
-/// dimension where Qi differs from the target O. In any possible world
-/// where Qj dominates O, Qi also dominates O (on the differing dimensions
-/// Qi's values ARE Qj's values; elsewhere Qi equals O), so the event
-/// "Qj dominates O" is contained in "Qi dominates O" and Qj contributes
-/// nothing to sky(O) = Pr(no candidate dominates O). Absorption is
-/// transitive (Corollary 1), so one pass in arbitrary order suffices.
+/// Null-dominator prune: candidate Q dominates target O only if
+/// Q.j <= O.j on every dimension j where Q differs from O, so
+/// Pr(Q dominates O) is a product over those dimensions. One factor
+/// Pr(Q.j <= O.j) that is exactly zero makes Q a "null dominator" with
+/// Pr(e_Q) = 0: it never dominates in any possible world, and dropping it
+/// leaves sky(O) mathematically unchanged. The test runs once per
+/// distinct (dimension, value) and marks that value's whole posting list,
+/// never once per candidate.
+///
+/// Absorption: candidate Qj is absorbed by candidate Qi when Qj matches
+/// Qi on every dimension where Qi differs from the target O. In any
+/// possible world where Qj dominates O, Qi also dominates O (on the
+/// differing dimensions Qi's values ARE Qj's values; elsewhere Qi equals
+/// O), so the event "Qj dominates O" is contained in "Qi dominates O" and
+/// Qj contributes nothing to sky(O) = Pr(no candidate dominates O).
+/// Absorption is transitive (Corollary 1), so one pass in arbitrary order
+/// suffices.
+///
+/// The prune runs first and the two commute: a null absorber passes its
+/// zero factor on to everything it absorbs, so a null candidate only
+/// absorbs null candidates and a non-null candidate is only absorbed by
+/// non-null ones. Pruning before or after absorption therefore leaves
+/// the same survivor list; pruning first just spares absorption the scan
+/// over candidates that cannot matter.
 ///
 /// Complexity: posting lists per (dimension, value) make the scan roughly
 /// O(n d) for the value distributions of the evaluation; the degenerate
 /// worst case (everything collides) is O(n^2 d) like the paper's one-pass
 /// description.
 
+#include <cstdint>
+#include <functional>
 #include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/core/oracles.h"
 #include "src/model/dataset.h"
 #include "src/model/types.h"
 #include "src/util/hash.h"
@@ -31,49 +51,106 @@ namespace skypref {
 
 struct AbsorptionStats {
   std::size_t input_candidates = 0;
+  /// Null dominators dropped by the prune (0 without a NullPairTest).
+  std::size_t pruned = 0;
+  /// Candidates dropped by absorption, duplicates of the target included;
+  /// disjoint from \ref pruned.
   std::size_t absorbed = 0;
 };
 
-/// Returns the candidates that survive absorption, in their input order.
-/// Candidates equal to the target on every dimension (duplicates) are
-/// dropped as well — they can never strictly dominate.
-std::vector<ObjectId> AbsorbCandidates(const Dataset& data, ObjectId target,
-                                       std::span<const ObjectId> candidates,
-                                       AbsorptionStats* stats = nullptr);
+/// The exact-zero test of the null-dominator prune: given a dimension, a
+/// candidate value and the target's (different) value there, true iff
+/// Pr(candidate value <= target value) is exactly zero in the numeric
+/// type of the solve that consumes the survivors. An empty test prunes
+/// nothing.
+using NullPairTest =
+    std::function<bool(DimensionId dim, ValueId candidate, ValueId target)>;
 
-/// Global posting lists of a dataset: (dimension, value) -> the objects
-/// using that value, in ascending ObjectId order. Built once, then shared
-/// by every target of an all-objects query (the dominance-candidate
-/// adjacency that AbsorbCandidates otherwise rebuilds per call). Immutable
-/// after construction, so concurrent lookups are safe.
+/// The NullPairTest of \p oracle (DoubleOracle or RationalOracle):
+/// LessEq compared with an exact zero of the oracle's own NumType, so the
+/// rational referee never prunes a positive probability that merely
+/// rounds to 0.0 as a double.
+template <typename Oracle>
+NullPairTest NullPairTestOf(const Oracle& oracle) {
+  return [oracle](DimensionId dim, ValueId candidate, ValueId target) {
+    return oracle.LessEq(dim, candidate, target) ==
+           typename Oracle::NumType(0);
+  };
+}
+
+/// Posting lists of a sequence of objects: (dimension, value) -> the
+/// positions in the sequence that use that value, ascending. Over a whole
+/// dataset the positions are the ObjectIds; built once, it is shared by
+/// every target of an all-objects query (the dominance-candidate
+/// adjacency that per-target filtering otherwise rebuilds per call).
+/// Immutable after construction, so concurrent lookups are safe.
 class ValuePostings {
  public:
+  /// One value of one dimension and the positions using it.
+  struct Posting {
+    ValueId value;
+    std::vector<ObjectId> positions;
+  };
+
+  /// Postings of every object of \p data; positions are ObjectIds.
   explicit ValuePostings(const Dataset& data);
 
-  /// Objects whose value on \p dim is \p value; empty when unused.
+  /// Postings of \p objects; positions index into \p objects.
+  ValuePostings(const Dataset& data, std::span<const ObjectId> objects);
+
+  /// Positions whose value on \p dim is \p value; empty when unused.
   std::span<const ObjectId> list(DimensionId dim, ValueId value) const {
-    auto it = postings_.find({dim, value});
-    if (it == postings_.end()) return {};
-    return it->second;
+    auto it = index_.find({dim, value});
+    if (it == index_.end()) return {};
+    return by_dim_[dim][it->second].positions;
+  }
+
+  /// Every distinct value used on \p dim, in first-use order.
+  std::span<const Posting> values(DimensionId dim) const {
+    return by_dim_[dim];
   }
 
  private:
-  std::unordered_map<std::pair<DimensionId, ValueId>, std::vector<ObjectId>,
-                     PairHash>
-      postings_;
+  void Add(const Dataset& data, ObjectId object, ObjectId position);
+
+  std::vector<std::vector<Posting>> by_dim_;
+  std::unordered_map<std::pair<DimensionId, ValueId>, std::uint32_t, PairHash>
+      index_;  // (dim, value) -> its slot in by_dim_[dim]
 };
 
-/// AbsorbCandidates over ALL objects except \p target, driven by the
-/// shared \p postings index instead of per-call posting lists. Returns the
-/// identical survivor list (same absorber scan order and tie-breaks): for
-/// every dimension where an absorber differs from the target, the global
-/// posting list equals the candidate-local one because the target's own
-/// value differs and is therefore never listed.
-std::vector<ObjectId> AbsorbAllCandidatesIndexed(const Dataset& data,
-                                                 ObjectId target,
-                                                 const ValuePostings& postings,
-                                                 AbsorptionStats* stats =
-                                                     nullptr);
+/// Returns the candidates that can change sky(target), in their input
+/// order: null dominators under \p null_test are dropped first, then
+/// candidates equal to the target on every dimension (duplicates — they
+/// can never strictly dominate), then absorbed candidates.
+std::vector<ObjectId> FilterCandidates(const Dataset& data, ObjectId target,
+                                       std::span<const ObjectId> candidates,
+                                       const NullPairTest& null_test,
+                                       AbsorptionStats* stats = nullptr);
+
+/// FilterCandidates over ALL objects except \p target, driven by the
+/// shared \p postings index instead of per-call posting lists. Returns
+/// the identical survivor list (same absorber scan order and tie-breaks):
+/// for every dimension where an absorber differs from the target, the
+/// global posting list equals the candidate-local one because the
+/// target's own value differs and is therefore never listed.
+std::vector<ObjectId> FilterAllCandidatesIndexed(
+    const Dataset& data, ObjectId target, const ValuePostings& postings,
+    const NullPairTest& null_test, AbsorptionStats* stats = nullptr);
+
+/// Model-free FilterCandidates: duplicates and absorption only.
+inline std::vector<ObjectId> AbsorbCandidates(
+    const Dataset& data, ObjectId target, std::span<const ObjectId> candidates,
+    AbsorptionStats* stats = nullptr) {
+  return FilterCandidates(data, target, candidates, NullPairTest(), stats);
+}
+
+/// Model-free FilterAllCandidatesIndexed: duplicates and absorption only.
+inline std::vector<ObjectId> AbsorbAllCandidatesIndexed(
+    const Dataset& data, ObjectId target, const ValuePostings& postings,
+    AbsorptionStats* stats = nullptr) {
+  return FilterAllCandidatesIndexed(data, target, postings, NullPairTest(),
+                                    stats);
+}
 
 /// True iff \p absorbed is absorbed by \p absorber with respect to
 /// \p target, i.e. they match on every dimension where the absorber

@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <vector>
 
-#include "src/core/absorption.h"
-#include "src/core/lineage_dp.h"
 #include "src/core/exact.h"
-#include "src/core/partition.h"
+#include "src/core/lineage_dp.h"
+#include "src/core/solver.h"
 #include "src/util/kahan.h"
 
 namespace skypref {
@@ -161,17 +160,6 @@ Result<SkylineBounds> BoundedSkylineProbability(const Dataset& data,
 
 namespace {
 
-std::vector<std::vector<ObjectId>> PreprocessedGroups(const Dataset& data,
-                                                      ObjectId target) {
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() - 1);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
-  candidates = AbsorbCandidates(data, target, candidates);
-  return PartitionCandidates(data, target, candidates);
-}
-
 Result<SkylineBounds> GroupProductBounds(
     const Dataset& data, ObjectId target,
     const std::vector<std::vector<ObjectId>>& groups,
@@ -201,8 +189,11 @@ Result<SkylineBounds> BoundedSkylineProbabilityPreprocessed(
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
-  return GroupProductBounds(data, target, PreprocessedGroups(data, target),
-                            model, options);
+  return GroupProductBounds(
+      data, target,
+      PlanTarget(data, target, /*preprocess=*/true,
+                 NullPairTestOf(DoubleOracle(model))),
+      model, options);
 }
 
 Result<bool> DecideThreshold(const Dataset& data, ObjectId target,
@@ -216,7 +207,8 @@ Result<bool> DecideThreshold(const Dataset& data, ObjectId target,
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
-  std::vector<std::vector<ObjectId>> groups = PreprocessedGroups(data, target);
+  std::vector<std::vector<ObjectId>> groups = PlanTarget(
+      data, target, /*preprocess=*/true, NullPairTestOf(DoubleOracle(model)));
 
   // Escalate the bound level until the interval excludes tau.
   for (std::size_t level = 1; level <= options.max_level; ++level) {

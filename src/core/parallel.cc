@@ -52,23 +52,10 @@ Result<double> ParallelExactSkylineProbability(
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() - 1);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
+  DoubleOracle oracle(model);
   SolveStats local;
-  local.candidates = candidates.size();
-  candidates = AbsorbCandidates(data, target, candidates);
-  local.after_absorption = candidates.size();
-  std::vector<std::vector<ObjectId>> groups =
-      PartitionCandidates(data, target, candidates);
-  local.groups = groups.size();
-  local.group_sizes.reserve(groups.size());
-  for (const auto& group : groups) {
-    local.largest_group = std::max(local.largest_group, group.size());
-    local.group_sizes.push_back(group.size());
-  }
+  std::vector<std::vector<ObjectId>> groups = PlanTarget(
+      data, target, /*preprocess=*/true, NullPairTestOf(oracle), &local);
 
   // ONE deadline for the whole query. Resolving time_limit_seconds per
   // group solve (the previous behavior) let the total wall time reach
@@ -77,7 +64,6 @@ Result<double> ParallelExactSkylineProbability(
   opts.deadline = internal::ResolveDeadline(options);
 
   const std::size_t group_count = groups.size();
-  DoubleOracle oracle(model);
   std::vector<double> survival(group_count, 1.0);
   std::vector<Status> statuses(group_count);
   std::vector<std::uint64_t> visited(group_count, 0);
@@ -221,69 +207,36 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
   ExactOptions exact = options.exact;
   exact.deadline = internal::ResolveDeadline(exact);
 
-  // Phase A: absorption + partition per target, sharing the global
-  // posting lists; chunked so each worker recycles one workspace. A
-  // target whose workspace allocation fails is marked here and stamped
-  // NaN in Phase C — groups[t].empty() cannot signal the failure because
-  // full absorption legitimately leaves a target with no groups. The
-  // postings outlive Phase A so the retry pass can rebuild a failed
-  // target's partition.
-  std::vector<std::vector<std::vector<ObjectId>>> groups(n);
-  std::vector<Status> statuses(n);
-  std::vector<unsigned char> phase_a_failed(n, 0);
+  // Phase A: the shared Det+/Sam+ preprocessing per target (see
+  // internal::PlanBatchTargets). A target whose plan allocation fails
+  // keeps that status in plans[t] and is stamped NaN in Phase C — empty
+  // groups cannot signal the failure because the filters legitimately
+  // leave a target with no groups. The postings outlive Phase A so the
+  // retry pass can rebuild a failed target's plan.
+  DoubleOracle oracle(model);
+  const NullPairTest null_test = NullPairTestOf(oracle);
   std::optional<ValuePostings> postings;
-  if (options.preprocess) {
-    postings.emplace(data);
-    constexpr std::size_t kChunk = 16;
-    const std::size_t chunks = (n + kChunk - 1) / kChunk;
-    pool.ParallelFor(chunks, [&](std::size_t c) {
-      PartitionWorkspace workspace;
-      const std::size_t begin = c * kChunk;
-      const std::size_t end = std::min(n, begin + kChunk);
-      for (ObjectId t = begin; t < end; ++t) {
-        auto built = TryAlloc("alloc.batch.partition", [&] {
-          std::vector<ObjectId> candidates =
-              AbsorbAllCandidatesIndexed(data, t, *postings);
-          return PartitionCandidates(
-              data, t, std::span<const ObjectId>(candidates), workspace);
-        });
-        if (built.ok()) {
-          groups[t] = std::move(built).value();
-        } else {
-          statuses[t] = built.status();
-          phase_a_failed[t] = 1;
-        }
-      }
-    });
-  } else {
-    for (ObjectId t = 0; t < n; ++t) {
-      std::vector<ObjectId> candidates;
-      candidates.reserve(n - 1);
-      for (ObjectId id = 0; id < n; ++id) {
-        if (id != t) candidates.push_back(id);
-      }
-      groups[t].push_back(std::move(candidates));
-    }
-  }
+  std::vector<internal::TargetPlan> plans = internal::PlanBatchTargets(
+      data, options.preprocess, null_test, pool, postings);
+  std::vector<Status> statuses(n);
   for (ObjectId t = 0; t < n; ++t) {
-    if (phase_a_failed[t] != 0) continue;  // no partition to account for
-    std::size_t after = 0;
-    for (const auto& group : groups[t]) {
-      after += group.size();
+    statuses[t] = plans[t].status;
+    if (!plans[t].status.ok()) continue;  // no partition to account for
+    local.pruned_candidates += plans[t].pruned;
+    local.absorbed += plans[t].absorbed;
+    local.groups += plans[t].groups.size();
+    for (const auto& group : plans[t].groups) {
       local.largest_group = std::max(local.largest_group, group.size());
     }
-    local.groups += groups[t].size();
-    local.absorbed += (n - 1) - after;
   }
 
   // Phase B: every distinct Pr(q.j <= o.j) any target's pair table needs,
   // computed once. Serial — these model lookups ARE the work being
   // deduplicated across targets.
   PairProbCache cache;
-  DoubleOracle oracle(model);
   for (ObjectId t = 0; t < n; ++t) {
     std::span<const ValueId> o = data.object(t);
-    for (const auto& group : groups[t]) {
+    for (const auto& group : plans[t].groups) {
       for (ObjectId id : group) {
         std::span<const ValueId> q = data.object(id);
         for (DimensionId j = 0; j < data.dimensions(); ++j) {
@@ -302,7 +255,7 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
   // exponent cap just keeps the weights finite.
   std::vector<double> weight(n, 0.0);
   for (ObjectId t = 0; t < n; ++t) {
-    for (const auto& group : groups[t]) {
+    for (const auto& group : plans[t].groups) {
       // Scheduling heuristic only — never part of a returned probability,
       // so plain summation is fine here.
       // skypref-analyze: allow(kahan-discipline)
@@ -336,14 +289,14 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
       return;
     }
     if (!statuses[t].ok()) {
-      // Phase A could not build this target's partition; an empty
-      // groups[t] would silently solve to probability 1.0.
+      // Phase A could not build this target's plan; its empty groups
+      // would silently solve to probability 1.0.
       results[t] = std::numeric_limits<double>::quiet_NaN();
       return;
     }
     double product = 1.0;
     Status status;
-    for (const auto& group : groups[t]) {
+    for (const auto& group : plans[t].groups) {
       ExactStats exact_stats;
       auto result = ExactSkylineProbability(
           data, t, std::span<const ObjectId>(group), cached, exact,
@@ -388,24 +341,18 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
         statuses[t] = Status::ResourceExhausted("failpoint batch.retry");
         continue;
       }
-      if (phase_a_failed[t] != 0) {
-        auto rebuilt = TryAlloc("alloc.batch.partition", [&] {
-          PartitionWorkspace workspace;
-          std::vector<ObjectId> candidates =
-              AbsorbAllCandidatesIndexed(data, t, *postings);
-          return PartitionCandidates(
-              data, t, std::span<const ObjectId>(candidates), workspace);
-        });
-        if (!rebuilt.ok()) {
-          statuses[t] = rebuilt.status();
+      if (!plans[t].status.ok()) {
+        PartitionWorkspace workspace;
+        plans[t] =
+            internal::PlanBatchTarget(data, t, *postings, null_test, workspace);
+        if (!plans[t].status.ok()) {
+          statuses[t] = plans[t].status;
           continue;
         }
-        groups[t] = std::move(rebuilt).value();
-        phase_a_failed[t] = 0;
       }
       double product = 1.0;
       Status status;
-      for (const auto& group : groups[t]) {
+      for (const auto& group : plans[t].groups) {
         ExactStats exact_stats;
         auto result = ExactSkylineProbability(
             data, t, std::span<const ObjectId>(group), oracle, exact,

@@ -5,11 +5,9 @@
 #include <numeric>
 #include <utility>
 
-#include "src/core/absorption.h"
 #include "src/core/exact.h"
 #include "src/core/monte_carlo.h"
 #include "src/core/oracles.h"
-#include "src/core/partition.h"
 #include "src/core/sam_bitslice.h"
 #include "src/core/sam_parallel.h"
 #include "src/util/check.h"
@@ -142,30 +140,10 @@ Result<ResilientResult> ResilientSkylineProbability(
   // ONE deadline governs every rung of this query.
   Deadline deadline = internal::ResolveDeadline(options.solver.exact);
 
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() - 1);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
-
   ResilientResult result;
-  result.stats.candidates = candidates.size();
-
-  std::vector<std::vector<ObjectId>> groups;
-  if (options.solver.preprocess) {
-    candidates = AbsorbCandidates(data, target, candidates);
-    groups = PartitionCandidates(data, target, candidates);
-  } else if (!candidates.empty()) {
-    groups.push_back(candidates);
-  }
-  result.stats.after_absorption = candidates.size();
-  result.stats.groups = groups.size();
-  result.stats.group_sizes.reserve(groups.size());
-  for (const auto& group : groups) {
-    result.stats.group_sizes.push_back(group.size());
-    result.stats.largest_group =
-        std::max(result.stats.largest_group, group.size());
-  }
+  std::vector<std::vector<ObjectId>> groups =
+      PlanTarget(data, target, options.solver.preprocess,
+                 NullPairTestOf(DoubleOracle(model)), &result.stats);
 
   // Rung 1: exact attempt on every group under the shared budget.
   ExactOptions exact_options = options.solver.exact;

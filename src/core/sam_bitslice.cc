@@ -342,9 +342,8 @@ Result<std::vector<double>> BitSlicedBatchMonteCarloSkylineProbabilities(
   BatchSamStats local;
   local.requested_samples = samples;
   SKYPREF_ASSIGN_OR_RETURN(
-      BatchPlan plan, TryAlloc("alloc.sam.batch_plan", [&] {
-        return internal::BuildBatchPlan(data, model, pool, options, local);
-      }));
+      BatchPlan plan,
+      internal::BuildBatchPlan(data, model, pool, options, local));
   // Same up-front probe as the single-target engine: the per-block
   // arenas themselves are built where no Status can surface.
   {

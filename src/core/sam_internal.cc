@@ -1,14 +1,16 @@
 #include "src/core/sam_internal.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
 #include "src/core/absorption.h"
-#include "src/core/partition.h"
 #include "src/core/sam_parallel.h"
 #include "src/util/check.h"
 #include "src/util/hash.h"
+#include "src/util/try_alloc.h"
 
 namespace skypref {
 namespace internal {
@@ -65,60 +67,15 @@ struct TernaryPairKeyHash {
   }
 };
 
-}  // namespace
-
-BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
-                         ThreadPool& pool, const SolverOptions& options,
-                         BatchSamStats& stats) {
+/// Phase B of BuildBatchPlan: one global table of ternary orientation
+/// variables, interned by canonical (dim, lo, hi), shared by every
+/// target's plan — the world-sharing that turns targets x worlds x pairs
+/// draws into worlds x distinct-pairs. Serial: this interning IS the work
+/// being deduplicated across targets.
+BatchPlan InternPlan(const Dataset& data, const PreferenceModel& model,
+                     const std::vector<TargetPlan>& plans,
+                     BatchSamStats& stats) {
   const std::size_t n = data.size();
-  stats.targets = n;
-
-  // Phase A: absorption + partition per target, sharing the global
-  // posting lists, exactly as in the batch exact solver. Absorption is
-  // pure win for the sampler too — an absorbed candidate's dominance
-  // event is contained in its absorber's, so dropping it changes no
-  // world's verdict.
-  std::vector<std::vector<std::vector<ObjectId>>> groups(n);
-  if (options.preprocess) {
-    ValuePostings postings(data);
-    constexpr std::size_t kChunk = 16;
-    const std::size_t chunks = (n + kChunk - 1) / kChunk;
-    pool.ParallelFor(chunks, [&](std::size_t c) {
-      PartitionWorkspace workspace;
-      const std::size_t begin = c * kChunk;
-      const std::size_t end = std::min(n, begin + kChunk);
-      for (ObjectId t = begin; t < end; ++t) {
-        std::vector<ObjectId> candidates =
-            AbsorbAllCandidatesIndexed(data, t, postings);
-        groups[t] = PartitionCandidates(
-            data, t, std::span<const ObjectId>(candidates), workspace);
-      }
-    });
-  } else {
-    for (ObjectId t = 0; t < n; ++t) {
-      std::vector<ObjectId> candidates;
-      candidates.reserve(n - 1);
-      for (ObjectId id = 0; id < n; ++id) {
-        if (id != t) candidates.push_back(id);
-      }
-      groups[t].push_back(std::move(candidates));
-    }
-  }
-  for (ObjectId t = 0; t < n; ++t) {
-    std::size_t after = 0;
-    for (const auto& group : groups[t]) {
-      after += group.size();
-      stats.largest_group = std::max(stats.largest_group, group.size());
-    }
-    stats.groups += groups[t].size();
-    stats.absorbed += (n - 1) - after;
-  }
-
-  // Phase B: one global table of ternary orientation variables, interned
-  // by canonical (dim, lo, hi), shared by every target's plan — the
-  // world-sharing that turns targets x worlds x pairs draws into
-  // worlds x distinct-pairs. Serial: this interning IS the work being
-  // deduplicated across targets.
   const DimensionId d = static_cast<DimensionId>(data.dimensions());
   BatchPlan plan;
   std::unordered_map<TernaryPairKey, std::uint32_t, TernaryPairKeyHash>
@@ -133,7 +90,7 @@ BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
   std::vector<PlanCandidate> per_target;
   for (ObjectId t = 0; t < n; ++t) {
     per_target.clear();
-    for (const auto& group : groups[t]) {
+    for (const auto& group : plans[t].groups) {
       for (ObjectId c : group) {
         PlanCandidate cand;
         bool possible = true;
@@ -147,6 +104,8 @@ BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
           double toward_candidate = vc == lo ? pair.less : pair.greater;
           // Exact-zero test: Pr = 0 means the orientation can never be
           // drawn, so the candidate is pruned from the sampling plan.
+          // With preprocessing Phase A's null-dominator prune already
+          // dropped every such candidate; without it this is the prune.
           if (toward_candidate == 0.0) {  // skypref-lint: allow(float-eq)
             possible = false;
             break;
@@ -188,6 +147,37 @@ BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
   }
   stats.distinct_pairs = plan.pair_count();
   return plan;
+}
+
+}  // namespace
+
+Result<BatchPlan> BuildBatchPlan(const Dataset& data,
+                                 const PreferenceModel& model,
+                                 ThreadPool& pool, const SolverOptions& options,
+                                 BatchSamStats& stats) {
+  const std::size_t n = data.size();
+  stats.targets = n;
+
+  // Phase A: the null-dominator prune, absorption and partition per
+  // target, exactly as in the batch exact solver. Both filters are pure
+  // win for the sampler too — a null candidate never dominates, and an
+  // absorbed candidate's dominance event is contained in its absorber's,
+  // so dropping either changes no world's verdict.
+  std::optional<ValuePostings> postings;
+  std::vector<TargetPlan> plans = PlanBatchTargets(
+      data, options.preprocess, NullPairTestOf(DoubleOracle(model)), pool,
+      postings);
+  for (ObjectId t = 0; t < n; ++t) {
+    SKYPREF_RETURN_IF_ERROR(plans[t].status);
+    stats.pruned_candidates += plans[t].pruned;
+    stats.absorbed += plans[t].absorbed;
+    stats.groups += plans[t].groups.size();
+    for (const auto& group : plans[t].groups) {
+      stats.largest_group = std::max(stats.largest_group, group.size());
+    }
+  }
+  return TryAlloc("alloc.sam.batch_plan",
+                  [&] { return InternPlan(data, model, plans, stats); });
 }
 
 }  // namespace internal

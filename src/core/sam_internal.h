@@ -87,16 +87,19 @@ struct BatchPlan {
   std::size_t pair_count() const { return cut_lo.size(); }
 };
 
-/// Phases A+B of both batch samplers: absorption + partition per target
-/// (over \p pool, honoring options.preprocess) and the serial interning
-/// pass that builds the shared ternary pair table. Fills the
+/// Phases A+B of both batch samplers: the batch preprocessing shared with
+/// the exact batch (PlanBatchTargets over \p pool, honoring
+/// options.preprocess) and the serial interning pass that builds the
+/// shared ternary pair table ("alloc.sam.batch_plan"). Fills the
 /// preprocessing fields of \p stats (targets, absorbed, groups,
 /// largest_group, distinct_pairs, pruned_candidates); the world-loop
 /// fields (samples, pair_draws, truncated, requested_samples) stay
-/// untouched for the caller's phase C.
-BatchPlan BuildBatchPlan(const Dataset& data, const PreferenceModel& model,
-                         ThreadPool& pool, const SolverOptions& options,
-                         BatchSamStats& stats);
+/// untouched for the caller's phase C. Fails with ResourceExhausted when
+/// either phase cannot allocate.
+Result<BatchPlan> BuildBatchPlan(const Dataset& data,
+                                 const PreferenceModel& model,
+                                 ThreadPool& pool, const SolverOptions& options,
+                                 BatchSamStats& stats);
 
 // -------------------------------------------------------------------------
 // The block-deterministic runner

@@ -270,9 +270,8 @@ Result<std::vector<double>> BatchMonteCarloSkylineProbabilities(
   BatchSamStats local;
   local.requested_samples = samples;
   SKYPREF_ASSIGN_OR_RETURN(
-      BatchPlan plan, TryAlloc("alloc.sam.batch_plan", [&] {
-        return internal::BuildBatchPlan(data, model, pool, options, local);
-      }));
+      BatchPlan plan,
+      internal::BuildBatchPlan(data, model, pool, options, local));
 
   // Phase C: the shared world stream, fanned out in deterministic blocks
   // (same runner, same "sampler.block" failpoint, same truncation

@@ -99,7 +99,9 @@ Result<MonteCarloResult> BlockMonteCarloSkylineProbability(
 /// Diagnostics of one batch all-objects estimation.
 struct BatchSamStats {
   std::size_t targets = 0;
-  std::size_t absorbed = 0;       ///< candidates dropped, summed over targets
+  /// Candidates dropped by absorption (duplicates of the target
+  /// included), summed over targets; disjoint from pruned_candidates.
+  std::size_t absorbed = 0;
   std::size_t groups = 0;         ///< independence groups, summed over targets
   std::size_t largest_group = 0;  ///< across all targets
   /// Distinct ternary (dim, value-pair) orientation variables interned —

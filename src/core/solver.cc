@@ -9,6 +9,7 @@
 #include "src/core/sam_parallel.h"
 #include "src/util/check.h"
 #include "src/util/random.h"
+#include "src/util/try_alloc.h"
 
 namespace skypref {
 
@@ -43,6 +44,88 @@ Result<MonteCarloResult> RunSamEngine(const Dataset& data, ObjectId target,
 
 }  // namespace
 
+std::vector<std::vector<ObjectId>> PlanTarget(const Dataset& data,
+                                              ObjectId target, bool preprocess,
+                                              const NullPairTest& null_test,
+                                              SolveStats* stats) {
+  std::vector<ObjectId> candidates;
+  candidates.reserve(data.size() - 1);
+  for (ObjectId id = 0; id < data.size(); ++id) {
+    if (id != target) candidates.push_back(id);
+  }
+  SolveStats local;
+  local.candidates = candidates.size();
+  std::vector<std::vector<ObjectId>> groups;
+  if (preprocess) {
+    AbsorptionStats filter;
+    candidates = FilterCandidates(data, target, candidates, null_test, &filter);
+    local.pruned = filter.pruned;
+    groups = PartitionCandidates(data, target, candidates);
+  } else {
+    groups.push_back(candidates);
+  }
+  local.after_absorption = candidates.size();
+  local.groups = groups.size();
+  local.group_sizes.reserve(groups.size());
+  for (const auto& group : groups) {
+    local.largest_group = std::max(local.largest_group, group.size());
+    local.group_sizes.push_back(group.size());
+  }
+  if (stats != nullptr) *stats = std::move(local);
+  return groups;
+}
+
+namespace internal {
+
+TargetPlan PlanBatchTarget(const Dataset& data, ObjectId target,
+                           const ValuePostings& postings,
+                           const NullPairTest& null_test,
+                           PartitionWorkspace& workspace) {
+  TargetPlan plan;
+  AbsorptionStats filter;
+  auto built = TryAlloc("alloc.batch.partition", [&] {
+    std::vector<ObjectId> candidates = FilterAllCandidatesIndexed(
+        data, target, postings, null_test, &filter);
+    return PartitionCandidates(data, target,
+                               std::span<const ObjectId>(candidates),
+                               workspace);
+  });
+  if (!built.ok()) {
+    plan.status = built.status();
+    return plan;
+  }
+  plan.groups = std::move(built).value();
+  plan.pruned = filter.pruned;
+  plan.absorbed = filter.absorbed;
+  return plan;
+}
+
+std::vector<TargetPlan> PlanBatchTargets(
+    const Dataset& data, bool preprocess, const NullPairTest& null_test,
+    ThreadPool& pool, std::optional<ValuePostings>& postings) {
+  const std::size_t n = data.size();
+  std::vector<TargetPlan> plans(n);
+  if (!preprocess) {
+    for (ObjectId t = 0; t < n; ++t) {
+      plans[t].groups = PlanTarget(data, t, /*preprocess=*/false, null_test);
+    }
+    return plans;
+  }
+  postings.emplace(data);
+  constexpr std::size_t kChunk = 16;
+  const std::size_t chunks = (n + kChunk - 1) / kChunk;
+  pool.ParallelFor(chunks, [&](std::size_t c) {
+    PartitionWorkspace workspace;
+    const std::size_t end = std::min(n, (c + 1) * kChunk);
+    for (ObjectId t = c * kChunk; t < end; ++t) {
+      plans[t] = PlanBatchTarget(data, t, *postings, null_test, workspace);
+    }
+  });
+  return plans;
+}
+
+}  // namespace internal
+
 Result<SkylineSolver> SkylineSolver::Create(const Dataset& data,
                                             const PreferenceModel& model) {
   SKYPREF_RETURN_IF_ERROR(data.Validate());
@@ -53,56 +136,27 @@ Result<SkylineSolver> SkylineSolver::Create(const Dataset& data,
   return SkylineSolver(data, model);
 }
 
-std::vector<ObjectId> SkylineSolver::AllCandidates(ObjectId target) const {
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data_->size() - 1);
-  for (ObjectId id = 0; id < data_->size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
-  return candidates;
-}
-
 Result<double> SkylineSolver::Exact(ObjectId target,
                                     const SolverOptions& options,
                                     SolveStats* stats) const {
   if (target >= data_->size()) {
     return Status::OutOfRange("target object out of range");
   }
-  std::vector<ObjectId> candidates = AllCandidates(target);
-  SolveStats local;
-  local.candidates = candidates.size();
-
   DoubleOracle oracle(*model_);
+  SolveStats local;
+  std::vector<std::vector<ObjectId>> groups =
+      PlanTarget(*data_, target, options.preprocess, NullPairTestOf(oracle),
+                 &local);
   double result = 1.0;
-  if (options.preprocess) {
-    candidates = AbsorbCandidates(*data_, target, candidates);
-    local.after_absorption = candidates.size();
-    std::vector<std::vector<ObjectId>> groups =
-        PartitionCandidates(*data_, target, candidates);
-    local.groups = groups.size();
-    local.group_sizes.reserve(groups.size());
-    for (const auto& group : groups) {
-      local.largest_group = std::max(local.largest_group, group.size());
-      local.group_sizes.push_back(group.size());
-      ExactStats exact_stats;
-      SKYPREF_ASSIGN_OR_RETURN(
-          double group_prob,
-          ExactSkylineProbability(*data_, target, group, oracle, options.exact,
-                                  &exact_stats));
-      local.subsets_visited += exact_stats.subsets_visited;
-      SKYPREF_DCHECK_PROB(group_prob);
-      result *= group_prob;
-    }
-  } else {
-    local.after_absorption = candidates.size();
-    local.groups = 1;
-    local.largest_group = candidates.size();
-    local.group_sizes.assign(1, candidates.size());
+  for (const auto& group : groups) {
     ExactStats exact_stats;
     SKYPREF_ASSIGN_OR_RETURN(
-        result, ExactSkylineProbability(*data_, target, candidates, oracle,
-                                        options.exact, &exact_stats));
-    local.subsets_visited = exact_stats.subsets_visited;
+        double group_prob,
+        ExactSkylineProbability(*data_, target, group, oracle, options.exact,
+                                &exact_stats));
+    local.subsets_visited += exact_stats.subsets_visited;
+    SKYPREF_DCHECK_PROB(group_prob);
+    result *= group_prob;
   }
   if (stats != nullptr) *stats = local;
   SKYPREF_DCHECK_PROB(result);
@@ -129,18 +183,15 @@ Result<double> SkylineSolver::MonteCarloImpl(ObjectId target,
   if (target >= data_->size()) {
     return Status::OutOfRange("target object out of range");
   }
-  std::vector<ObjectId> candidates = AllCandidates(target);
   SolveStats local;
-  local.candidates = candidates.size();
+  std::vector<std::vector<ObjectId>> groups =
+      PlanTarget(*data_, target, options.preprocess,
+                 NullPairTestOf(DoubleOracle(*model_)), &local);
 
   if (!options.preprocess) {
-    local.after_absorption = candidates.size();
-    local.groups = 1;
-    local.largest_group = candidates.size();
-    local.group_sizes.assign(1, candidates.size());
     SKYPREF_ASSIGN_OR_RETURN(
         MonteCarloResult mc,
-        RunSamEngine(*data_, target, candidates, *model_, pool,
+        RunSamEngine(*data_, target, groups[0], *model_, pool,
                      options.monte_carlo));
     local.samples_drawn = mc.samples;
     local.pair_draws = mc.pair_draws;
@@ -149,19 +200,10 @@ Result<double> SkylineSolver::MonteCarloImpl(ObjectId target,
     return ClampProbability(mc.estimate);
   }
 
-  candidates = AbsorbCandidates(*data_, target, candidates);
-  local.after_absorption = candidates.size();
-  std::vector<std::vector<ObjectId>> groups =
-      PartitionCandidates(*data_, target, candidates);
-  local.groups = groups.size();
-
   // Singleton groups are exact for free: Pr(no dominator) = 1 - Pr(e).
   std::vector<const std::vector<ObjectId>*> sampled_groups;
   double result = 1.0;
-  local.group_sizes.reserve(groups.size());
   for (const auto& group : groups) {
-    local.largest_group = std::max(local.largest_group, group.size());
-    local.group_sizes.push_back(group.size());
     if (group.size() == 1) {
       result *= 1.0 - DominanceProbability(*data_, group[0], target, *model_);
     } else {
@@ -244,18 +286,10 @@ Result<Rational> ExactSkylineProbabilityRational(
   if (target >= data.size()) {
     return Status::OutOfRange("target object out of range");
   }
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() - 1);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
   RationalOracle oracle(model);
-  if (!preprocess) {
-    return ExactSkylineProbability(data, target, candidates, oracle, options);
-  }
-  candidates = AbsorbCandidates(data, target, candidates);
   Rational result(1);
-  for (const auto& group : PartitionCandidates(data, target, candidates)) {
+  for (const auto& group : PlanTarget(data, target, preprocess,
+                                      NullPairTestOf(oracle))) {
     SKYPREF_ASSIGN_OR_RETURN(
         Rational group_prob,
         ExactSkylineProbability(data, target, group, oracle, options));

@@ -8,8 +8,9 @@
 /// preprocessing (Section 5) in front of either the exact inclusion-
 /// exclusion solver (Algorithm 1) or the Monte-Carlo estimator
 /// (Algorithm 2). With preprocessing enabled the solver first drops
-/// absorbed candidates, then splits the rest into independent groups and
-/// multiplies the per-group results (Theorem 4).
+/// null dominators (Pr(e_i) = 0) and absorbed candidates, then splits the
+/// rest into independent groups and multiplies the per-group results
+/// (Theorem 4).
 ///
 /// Error budget under partitioning: if group survival probabilities
 /// p_t in [0,1] are each estimated within eps_t, the product is within
@@ -18,11 +19,14 @@
 /// actually samples; singleton groups are computed exactly for free.
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "src/core/absorption.h"
 #include "src/core/exact.h"
 #include "src/core/monte_carlo.h"
+#include "src/core/partition.h"
 #include "src/model/dataset.h"
 #include "src/model/preference_model.h"
 #include "src/model/types.h"
@@ -33,7 +37,8 @@
 namespace skypref {
 
 struct SolverOptions {
-  /// Run absorption + partition first (the "+" algorithm variants).
+  /// Run the null-dominator prune, absorption and partition first (the
+  /// "+" algorithm variants).
   bool preprocess = true;
   /// Batch solves only: give each target that failed on a TRANSIENT
   /// fault (allocation failure, injected scheduler fault — never a blown
@@ -50,7 +55,10 @@ struct SolverOptions {
 /// Diagnostics of one solve, for benches and the CLI.
 struct SolveStats {
   std::size_t candidates = 0;         ///< before preprocessing
-  std::size_t after_absorption = 0;   ///< == candidates when preprocess off
+  std::size_t pruned = 0;             ///< null dominators dropped
+  /// Candidates left after the null-dominator prune and absorption;
+  /// == candidates when preprocess off.
+  std::size_t after_absorption = 0;
   std::size_t groups = 0;             ///< 1 when preprocess off
   std::size_t largest_group = 0;
   /// Size of every independence group, in partition order; drives the
@@ -60,6 +68,18 @@ struct SolveStats {
   std::uint64_t samples_drawn = 0;    ///< Monte-Carlo solves
   std::uint64_t pair_draws = 0;       ///< Monte-Carlo solves
 };
+
+/// The candidate groups of one per-target solve over every object of
+/// \p data but \p target. With \p preprocess (the "+" variants) this is
+/// the Det+/Sam+ preprocessing every per-target solver shares: the
+/// null-dominator prune under \p null_test, absorption (FilterCandidates)
+/// and partition (Theorem 4). Without it, one group holds every
+/// candidate. Fills the candidate and group fields of \p stats (may be
+/// null). Requires target < data.size().
+std::vector<std::vector<ObjectId>> PlanTarget(const Dataset& data,
+                                              ObjectId target, bool preprocess,
+                                              const NullPairTest& null_test,
+                                              SolveStats* stats = nullptr);
 
 class SkylineSolver {
  public:
@@ -96,8 +116,6 @@ class SkylineSolver {
   SkylineSolver(const Dataset& data, const PreferenceModel& model)
       : data_(&data), model_(&model) {}
 
-  std::vector<ObjectId> AllCandidates(ObjectId target) const;
-
   /// Shared Sam body; \p pool is null for the poolless overload (the
   /// kBlock engine then runs inline).
   Result<double> MonteCarloImpl(ObjectId target, const SolverOptions& options,
@@ -110,7 +128,13 @@ class SkylineSolver {
 /// Diagnostics of one batch all-objects solve.
 struct BatchExactStats {
   std::size_t targets = 0;
-  std::size_t absorbed = 0;       ///< candidates dropped, summed over targets
+  /// Candidates dropped by absorption (duplicates of the target
+  /// included), summed over targets; disjoint from pruned_candidates.
+  std::size_t absorbed = 0;
+  /// Possible dominators dropped because some required orientation has
+  /// probability exactly zero (they can never dominate in any world).
+  /// Same meaning as BatchSamStats::pruned_candidates.
+  std::size_t pruned_candidates = 0;
   std::size_t groups = 0;         ///< independence groups, summed over targets
   std::size_t largest_group = 0;  ///< across all targets
   /// Distinct (dim, value-pair) preference probabilities computed once
@@ -137,8 +161,9 @@ struct BatchExactStats {
 /// query shape of batch skyline-probability evaluation). Shares the
 /// preprocessing across targets instead of redoing it per solve:
 ///
-///  * the (dim, value) -> objects posting lists driving absorption are
-///    built once (the dominance-candidate adjacency);
+///  * the (dim, value) -> objects posting lists driving the null-dominator
+///    prune and absorption are built once (the dominance-candidate
+///    adjacency);
 ///  * the distinct preference probabilities Pr(a <= b) feeding the
 ///    flattened pair tables are computed once and reused by every
 ///    target whose table needs them;
@@ -183,9 +208,43 @@ Result<double> ExpectedSkylineCardinality(const Dataset& data,
                                           const PreferenceModel& model,
                                           const SolverOptions& options = {});
 
+namespace internal {
+
+/// One target's share of a batch all-objects plan.
+struct TargetPlan {
+  std::vector<std::vector<ObjectId>> groups;  ///< as PlanTarget's
+  std::size_t pruned = 0;    ///< null dominators dropped
+  std::size_t absorbed = 0;  ///< absorbed candidates and duplicates
+  /// ResourceExhausted when building the plan failed to allocate (site
+  /// "alloc.batch.partition"); groups is then empty.
+  Status status;
+};
+
+/// PlanTarget's preprocessing for one target of a batch, driven by the
+/// whole-dataset \p postings: the prune marks null posting lists before
+/// absorption scans the survivors.
+TargetPlan PlanBatchTarget(const Dataset& data, ObjectId target,
+                           const ValuePostings& postings,
+                           const NullPairTest& null_test,
+                           PartitionWorkspace& workspace);
+
+/// Phase A of both batch engines (BatchExactSkylineProbabilities and the
+/// Sam batch plan): element t is target t's plan. With \p preprocess it
+/// builds \p postings once (the caller keeps them for retries) and fans
+/// PlanBatchTarget over \p pool in chunks, each worker recycling one
+/// partition workspace; without it every target gets one group holding
+/// all other objects.
+std::vector<TargetPlan> PlanBatchTargets(const Dataset& data, bool preprocess,
+                                         const NullPairTest& null_test,
+                                         ThreadPool& pool,
+                                         std::optional<ValuePostings>& postings);
+
+}  // namespace internal
+
 /// Exact sky(target) in rational arithmetic — the bit-exact reference used
-/// by the test suite. \p preprocess toggles absorption + partition, whose
-/// product recombination is also exact in this mode.
+/// by the test suite. \p preprocess toggles the null-dominator prune
+/// (whose zero test is exact rational here), absorption and partition,
+/// whose product recombination is also exact in this mode.
 Result<Rational> ExactSkylineProbabilityRational(
     const Dataset& data, ObjectId target, const RationalPreferenceModel& model,
     bool preprocess = false, const ExactOptions& options = {});

@@ -5,9 +5,16 @@
 
 namespace skypref {
 
-Result<std::vector<std::string>> ParseCsvLine(std::string_view line) {
-  std::vector<std::string> fields;
-  std::string current;
+Status ParseCsvLine(std::string_view line, std::vector<std::string>& fields) {
+  std::size_t count = 0;
+  // The next field's string, cleared but keeping its capacity.
+  auto next_field = [&fields, &count]() -> std::string& {
+    if (count == fields.size()) fields.emplace_back();
+    std::string& field = fields[count++];
+    field.clear();
+    return field;
+  };
+  std::string* current = &next_field();
   bool in_quotes = false;
   std::size_t i = 0;
   bool field_was_quoted = false;
@@ -16,7 +23,7 @@ Result<std::vector<std::string>> ParseCsvLine(std::string_view line) {
     if (in_quotes) {
       if (c == '"') {
         if (i + 1 < line.size() && line[i + 1] == '"') {
-          current.push_back('"');
+          current->push_back('"');
           i += 2;
           continue;
         }
@@ -24,12 +31,12 @@ Result<std::vector<std::string>> ParseCsvLine(std::string_view line) {
         ++i;
         continue;
       }
-      current.push_back(c);
+      current->push_back(c);
       ++i;
       continue;
     }
     if (c == '"') {
-      if (!current.empty()) {
+      if (!current->empty()) {
         return Status::InvalidArgument(
             "quote in the middle of an unquoted CSV field: " +
             std::string(line));
@@ -40,8 +47,7 @@ Result<std::vector<std::string>> ParseCsvLine(std::string_view line) {
       continue;
     }
     if (c == ',') {
-      fields.push_back(std::move(current));
-      current.clear();
+      current = &next_field();
       field_was_quoted = false;
       ++i;
       continue;
@@ -50,20 +56,27 @@ Result<std::vector<std::string>> ParseCsvLine(std::string_view line) {
       return Status::InvalidArgument(
           "characters after closing quote in CSV field: " + std::string(line));
     }
-    current.push_back(c);
+    current->push_back(c);
     ++i;
   }
   if (in_quotes) {
     return Status::InvalidArgument("unterminated quote in CSV line: " +
                                    std::string(line));
   }
-  fields.push_back(std::move(current));
+  fields.resize(count);
+  return Status::OK();
+}
+
+Result<std::vector<std::string>> ParseCsvLine(std::string_view line) {
+  std::vector<std::string> fields;
+  SKYPREF_RETURN_IF_ERROR(ParseCsvLine(line, fields));
   return fields;
 }
 
-Result<std::vector<std::vector<std::string>>> ParseCsv(
-    std::string_view document) {
-  std::vector<std::vector<std::string>> records;
+Status ForEachCsvRecord(
+    std::string_view document,
+    const std::function<Status(const std::vector<std::string>&)>& visit) {
+  std::vector<std::string> fields;
   std::size_t start = 0;
   while (start <= document.size()) {
     std::size_t end = document.find('\n', start);
@@ -72,13 +85,23 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(
                                 : document.substr(start, end - start);
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     if (!line.empty()) {
-      SKYPREF_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                               ParseCsvLine(line));
-      records.push_back(std::move(fields));
+      SKYPREF_RETURN_IF_ERROR(ParseCsvLine(line, fields));
+      SKYPREF_RETURN_IF_ERROR(visit(fields));
     }
     if (end == std::string_view::npos) break;
     start = end + 1;
   }
+  return Status::OK();
+}
+
+Result<std::vector<std::vector<std::string>>> ParseCsv(
+    std::string_view document) {
+  std::vector<std::vector<std::string>> records;
+  SKYPREF_RETURN_IF_ERROR(ForEachCsvRecord(
+      document, [&records](const std::vector<std::string>& fields) {
+        records.push_back(fields);
+        return Status::OK();
+      }));
   return records;
 }
 

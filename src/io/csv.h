@@ -7,6 +7,7 @@
 /// endings. Enough for datasets and preference tables; not a general
 /// spreadsheet importer.
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +19,19 @@ namespace skypref {
 /// Parses one CSV record (no trailing newline). Fails on unterminated
 /// quotes or stray characters after a closing quote.
 Result<std::vector<std::string>> ParseCsvLine(std::string_view line);
+
+/// ParseCsvLine into \p fields, reusing the storage of the strings already
+/// there; \p fields is resized to the record's field count.
+Status ParseCsvLine(std::string_view line, std::vector<std::string>& fields);
+
+/// Calls \p visit with the fields of every non-blank line of \p document,
+/// in order, and stops at the first parse error or non-OK visit. One
+/// field vector is reused across lines, so a document with records of
+/// one width costs no allocation per record. Quoted fields must not span
+/// lines in this implementation.
+Status ForEachCsvRecord(
+    std::string_view document,
+    const std::function<Status(const std::vector<std::string>&)>& visit);
 
 /// Parses a whole CSV document into records, skipping blank lines.
 /// Quoted fields must not span lines in this implementation.

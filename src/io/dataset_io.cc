@@ -8,30 +8,36 @@
 namespace skypref {
 
 Result<LoadedDataset> DatasetFromCsv(std::string_view document) {
-  SKYPREF_ASSIGN_OR_RETURN(auto records, ParseCsv(document));
-  if (records.empty()) {
-    return Status::InvalidArgument("dataset CSV has no header row");
-  }
-  const std::vector<std::string>& header = records[0];
-  if (header.empty()) {
-    return Status::InvalidArgument("dataset CSV header is empty");
-  }
+  // Streamed record by record: the rows are interned as they are parsed
+  // instead of materializing the whole document first.
   LoadedDataset loaded;
-  loaded.domain = Domain(std::vector<std::string>(header.begin(), header.end()));
-  loaded.dataset = Dataset(header.size());
-  std::vector<ValueId> row(header.size());
-  for (std::size_t r = 1; r < records.size(); ++r) {
-    if (records[r].size() != header.size()) {
-      return Status::InvalidArgument(
-          "dataset CSV row " + std::to_string(r) + " has " +
-          std::to_string(records[r].size()) + " fields, expected " +
-          std::to_string(header.size()));
-    }
-    for (DimensionId j = 0; j < header.size(); ++j) {
-      SKYPREF_ASSIGN_OR_RETURN(row[j],
-                               loaded.domain.InternValue(j, records[r][j]));
-    }
-    SKYPREF_RETURN_IF_ERROR(loaded.dataset.Append(row));
+  std::size_t record = 0;
+  std::vector<ValueId> row;
+  SKYPREF_RETURN_IF_ERROR(ForEachCsvRecord(
+      document, [&](const std::vector<std::string>& fields) -> Status {
+        if (record++ == 0) {
+          if (fields.empty()) {
+            return Status::InvalidArgument("dataset CSV header is empty");
+          }
+          loaded.domain = Domain(fields);
+          loaded.dataset = Dataset(fields.size());
+          row.resize(fields.size());
+          return Status::OK();
+        }
+        if (fields.size() != row.size()) {
+          return Status::InvalidArgument(
+              "dataset CSV row " + std::to_string(record - 1) + " has " +
+              std::to_string(fields.size()) + " fields, expected " +
+              std::to_string(row.size()));
+        }
+        for (DimensionId j = 0; j < row.size(); ++j) {
+          SKYPREF_ASSIGN_OR_RETURN(row[j],
+                                   loaded.domain.InternValue(j, fields[j]));
+        }
+        return loaded.dataset.Append(row);
+      }));
+  if (record == 0) {
+    return Status::InvalidArgument("dataset CSV has no header row");
   }
   return loaded;
 }

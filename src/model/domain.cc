@@ -24,7 +24,7 @@ Result<ValueId> Domain::InternValue(DimensionId dim,
                               std::to_string(dims_.size()) + ")");
   }
   Dimension& d = dims_[dim];
-  auto it = d.ids.find(std::string(value_name));
+  auto it = d.ids.find(value_name);
   if (it != d.ids.end()) return it->second;
   ValueId id = static_cast<ValueId>(d.names.size());
   d.names.emplace_back(value_name);
@@ -39,7 +39,7 @@ Result<ValueId> Domain::FindValue(DimensionId dim,
                               " out of range");
   }
   const Dimension& d = dims_[dim];
-  auto it = d.ids.find(std::string(value_name));
+  auto it = d.ids.find(value_name);
   if (it == d.ids.end()) {
     return Status::NotFound("value '" + std::string(value_name) +
                             "' not interned on dimension " +

@@ -9,6 +9,7 @@
 /// written to CSV, and so examples can speak in domain terms ("beach_view",
 /// "fireplace") instead of integers.
 
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -52,10 +53,19 @@ class Domain {
   }
 
  private:
+  // Hashes names and string views alike, so lookups by string_view
+  // build no temporary std::string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
   struct Dimension {
     std::string name;
-    std::vector<std::string> names;                       // id -> name
-    std::unordered_map<std::string, ValueId> ids;         // name -> id
+    std::vector<std::string> names;  // id -> name
+    std::unordered_map<std::string, ValueId, NameHash, std::equal_to<>>
+        ids;  // name -> id
   };
   std::vector<Dimension> dims_;
 };

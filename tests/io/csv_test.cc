@@ -30,6 +30,36 @@ TEST(ParseCsvLineTest, Malformed) {
   EXPECT_FALSE(ParseCsvLine(R"("ab"cd)").ok());
 }
 
+TEST(ParseCsvLineTest, ReusedBufferTakesEachRecordsWidth) {
+  std::vector<std::string> fields;
+  ASSERT_TRUE(ParseCsvLine(R"(a,"b,c",d)", fields).ok());
+  EXPECT_EQ(fields, (std::vector<std::string>{"a", "b,c", "d"}));
+  ASSERT_TRUE(ParseCsvLine("x", fields).ok());
+  EXPECT_EQ(fields, (std::vector<std::string>{"x"}));
+  ASSERT_TRUE(ParseCsvLine("p,q", fields).ok());
+  EXPECT_EQ(fields, (std::vector<std::string>{"p", "q"}));
+  EXPECT_FALSE(ParseCsvLine(R"("open)", fields).ok());
+}
+
+TEST(ForEachCsvRecordTest, VisitsInOrderAndStopsAtTheFirstError) {
+  std::vector<std::vector<std::string>> seen;
+  Status status = ForEachCsvRecord(
+      "a,b\n\nc\r\nstop,here\nnever\n",
+      [&seen](const std::vector<std::string>& fields) {
+        seen.push_back(fields);
+        return fields[0] == "stop" ? Status::InvalidArgument("stop")
+                                   : Status::OK();
+      });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0], (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(seen[1], (std::vector<std::string>{"c"}));
+  EXPECT_EQ(seen[2], (std::vector<std::string>{"stop", "here"}));
+  EXPECT_FALSE(ForEachCsvRecord("ok\n\"bad\n", [](const auto&) {
+                 return Status::OK();
+               }).ok());
+}
+
 TEST(ParseCsvTest, SplitsRecordsAndSkipsBlanks) {
   auto records = ParseCsv("a,b\n\nc,d\r\ne,f\n").value();
   ASSERT_EQ(records.size(), 3u);

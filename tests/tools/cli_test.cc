@@ -78,6 +78,45 @@ TEST(CliTest, GenerateSolveInspectPipeline) {
   std::remove(path.c_str());
 }
 
+TEST(CliTest, InspectReportsTheSolversPreprocessing) {
+  // Target o: A and B share no value, C links them but is a null
+  // dominator (Pr(z < o) = 0 on d3), E is absorbed by A. The solver
+  // drops C and E and solves A, B and D as three singleton groups; a
+  // model-free count would report one group {A, B, C}.
+  std::string data_path = TempCsv();
+  ASSERT_TRUE(WriteFile(data_path,
+                        "d0,d1,d2,d3\n"
+                        "o,o,o,o\n"    // target
+                        "x,x,o,o\n"    // A
+                        "o,y,y,o\n"    // B
+                        "x,o,y,z\n"    // C
+                        "w,w,w,w\n"    // D
+                        "x,x,w,o\n")   // E
+                  .ok());
+  std::string prefs_path = TempCsv();
+  ASSERT_TRUE(WriteFile(prefs_path,
+                        "dimension,value_a,value_b,prob_a_less,prob_b_less\n"
+                        "d3,z,o,0,1\n")
+                  .ok());
+  CommandResult inspect = RunCli("inspect --data=" + data_path +
+                                 " --prefs=" + prefs_path + " --target=0");
+  EXPECT_EQ(inspect.exit_code, 0) << inspect.output;
+  EXPECT_NE(inspect.output.find("target 0: 5 candidates, 1 null, 1 absorbed, "
+                                "3 groups, largest group 1"),
+            std::string::npos)
+      << inspect.output;
+
+  // Without the zero pair nothing is null, and C links A and B.
+  CommandResult plain = RunCli("inspect --data=" + data_path + " --target=0");
+  EXPECT_EQ(plain.exit_code, 0) << plain.output;
+  EXPECT_NE(plain.output.find("target 0: 5 candidates, 0 null, 1 absorbed, "
+                              "2 groups, largest group 3"),
+            std::string::npos)
+      << plain.output;
+  std::remove(data_path.c_str());
+  std::remove(prefs_path.c_str());
+}
+
 TEST(CliTest, BinaryDatasetRoundTrip) {
   std::string path = UniqueTempPath("skyprob_cli_data", ".skyd");
   CommandResult generate = RunCli(

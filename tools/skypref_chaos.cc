@@ -17,6 +17,11 @@
 //    error bars, which still contain the rational-referee truth;
 //  * teardown leaves no armed site behind.
 //
+// The instance's preferences give a seeded quarter of the value pairs
+// certain orientations, so some candidates are null dominators
+// (Pr(e_i) = 0) that the solvers prune; the report counts them
+// (null_dominators, over all targets).
+//
 // Engines swept: the batch exact solver (kFlat), the two deterministic
 // Sam engines (kBlock, kBitSliced), and the resilient ladder. A hang
 // watchdog aborts — after printing the offending schedule seed — if no
@@ -160,7 +165,10 @@ Dataset ChaosDataset(std::uint64_t seed, std::size_t objects,
 /// Denominator-16 rational preferences over the full value universe: the
 /// SAME instance feeds the double solvers (PreferenceModel rounds each
 /// rational) and the exact-rational referee, so referee truths are
-/// truths about exactly the probabilities the solvers saw.
+/// truths about exactly the probabilities the solvers saw. Most pairs
+/// draw k from 1..15; a seeded quarter draw it from 0..16, so certain
+/// orientations (k = 0 or 16) make null dominators (Pr(e_i) = 0) that
+/// the null-dominator prune drops under faults and retry salvage.
 RationalPreferenceModel ChaosModel(std::uint64_t seed, const Dataset& data) {
   RationalPreferenceModel model;
   for (DimensionId j = 0; j < data.dimensions(); ++j) {
@@ -170,7 +178,10 @@ RationalPreferenceModel ChaosModel(std::uint64_t seed, const Dataset& data) {
         const std::uint64_t mix =
             HashMix(seed ^ (static_cast<std::uint64_t>(j) << 40) ^
                     (static_cast<std::uint64_t>(a) << 20) ^ b);
-        const std::int64_t k = 1 + static_cast<std::int64_t>(mix % 15);
+        const bool extreme = ((mix >> 32) & 3) == 0;
+        const std::int64_t k =
+            extreme ? static_cast<std::int64_t>(mix % 17)
+                    : 1 + static_cast<std::int64_t>(mix % 15);
         model
             .Set(j, a, b, Rational(BigInt(k), BigInt(16)),
                  Rational(BigInt(16 - k), BigInt(16)))
@@ -443,9 +454,15 @@ int main(int argc, char** argv) {
   const RationalPreferenceModel model =
       ChaosModel(HashMix(seed ^ 0x10de1ULL), data);
 
-  // Referee truths in exact rational arithmetic, BEFORE any arming.
+  // Referee truths in exact rational arithmetic, BEFORE any arming, and
+  // how many (target, candidate) pairs the solvers prune as null.
   std::vector<double> truth(data.size());
+  std::uint64_t null_dominators = 0;
   for (ObjectId t = 0; t < data.size(); ++t) {
+    SolveStats plan;
+    PlanTarget(data, t, /*preprocess=*/true,
+               NullPairTestOf(DoubleOracle(model)), &plan);
+    null_dominators += plan.pruned;
     auto exact = ExactSkylineProbabilityRational(data, t, model,
                                                  /*preprocess=*/true);
     exact.status().CheckOK();
@@ -524,9 +541,9 @@ int main(int argc, char** argv) {
   std::printf("skypref_chaos OK: runs=%" PRIu64 " faults_injected=%" PRIu64
               " casualties=%" PRIu64 " retried=%" PRIu64 " salvaged=%" PRIu64
               " degraded=%" PRIu64 " truncated=%" PRIu64 " watchdog_trips=%" PRIu64
-              "\n",
+              " null_dominators=%" PRIu64 "\n",
               runs, faults_injected, casualties, retried, salvaged, degraded,
-              truncated_runs, g_watchdog_trips.load());
+              truncated_runs, g_watchdog_trips.load(), null_dominators);
 
   if (!json_path.empty()) {
     std::FILE* out = std::fopen(json_path.c_str(), "w");
@@ -547,11 +564,13 @@ int main(int argc, char** argv) {
                  "  \"degraded_targets\": %" PRIu64 ",\n"
                  "  \"truncated_runs\": %" PRIu64 ",\n"
                  "  \"watchdog_trips\": %" PRIu64 ",\n"
+                 "  \"null_dominators\": %" PRIu64 ",\n"
                  "  \"failpoints_compiled_in\": %s\n"
                  "}\n",
                  seed, schedules, schedules_armed, runs, faults_injected,
                  casualties, retried, salvaged, degraded, truncated_runs,
-                 g_watchdog_trips.load(), failpoints_on ? "true" : "false");
+                 g_watchdog_trips.load(), null_dominators,
+                 failpoints_on ? "true" : "false");
     std::fclose(out);
   }
   return 0;

@@ -293,20 +293,16 @@ int RunInspect(const Args& args) {
                 instance.loaded.domain.dimension_name(j).c_str(),
                 data.value_bound(j));
   }
-  std::vector<ObjectId> candidates;
-  for (ObjectId i = 0; i < data.size(); ++i) {
-    if (i != target) candidates.push_back(i);
-  }
-  AbsorptionStats absorption;
-  std::vector<ObjectId> survivors =
-      AbsorbCandidates(data, target, candidates, &absorption);
-  auto groups = PartitionCandidates(data, target, survivors);
-  std::size_t largest = 0;
-  for (const auto& group : groups) largest = std::max(largest, group.size());
-  std::printf("target %zu: %zu candidates, %zu absorbed, %zu groups, "
-              "largest group %zu\n",
-              target, absorption.input_candidates, absorption.absorbed,
-              groups.size(), largest);
+  // The Det+/Sam+ preprocessing the solvers run, so the counts are the
+  // ones a solve actually uses.
+  SolveStats stats;
+  PlanTarget(data, target, /*preprocess=*/true,
+             NullPairTestOf(DoubleOracle(instance.prefs())), &stats);
+  std::printf("target %zu: %zu candidates, %zu null, %zu absorbed, "
+              "%zu groups, largest group %zu\n",
+              target, stats.candidates, stats.pruned,
+              stats.candidates - stats.pruned - stats.after_absorption,
+              stats.groups, stats.largest_group);
   return 0;
 }
 
