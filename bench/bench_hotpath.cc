@@ -39,12 +39,16 @@
 ///                    on the block-Zipf workload (the ≥8x tentpole
 ///                    number), a kBitSliced thread curve cross-checked
 ///                    bit-identical, and statistical agreement between
-///                    the two engines' estimates.
+///                    the two engines' estimates; its batch row times the
+///                    all-objects bit-sliced batch against the kBlock
+///                    batch at equal worlds, bit-identity asserted across
+///                    1/2/4-worker pools.
 ///
 /// Usage: bench_hotpath [exact.json] [sam.json] [sam_bitslice.json]
 ///        (defaults BENCH_exact.json / BENCH_sam.json /
 ///         BENCH_sam_bitslice.json)
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -541,6 +545,94 @@ std::string BenchBatchSam() {
   return json.str();
 }
 
+/// Section 7's batch row: all-objects estimation on the same instance,
+/// kBlock batch (one world at a time, scalar ternary draws) vs the
+/// bit-sliced batch (512-world superchunks, NextTernaryWords8) at equal
+/// worlds on a 1-worker pool. The bit-sliced batch is then re-run on
+/// 2- and 4-worker pools and asserted bit-identical; the two engines'
+/// estimates must agree within their summed Hoeffding bars.
+std::string BenchBitsliceBatch(const Dataset& data,
+                               const PreferenceModel& model) {
+  SolverOptions block;
+  block.monte_carlo.samples = FullScale() ? 262144 : 65536;
+  block.monte_carlo.seed = 7;
+  SolverOptions sliced = block;
+  sliced.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
+  const double worlds = static_cast<double>(block.monte_carlo.samples);
+
+  ThreadPool single(1);
+  BatchSamStats block_stats;
+  std::vector<double> block_estimates;
+  const double block_seconds = TimeBest(2, [&] {
+    block_estimates = BatchMonteCarloSkylineProbabilities(
+                          data, model, single, block, &block_stats)
+                          .value();
+  });
+
+  std::ostringstream threads_json;
+  std::vector<double> reference;
+  BatchSamStats sliced_stats;
+  double sliced_seconds = 0.0;
+  bool bit_identical = true;
+  const std::vector<std::size_t> thread_counts = {1, 2, 4};
+  for (std::size_t t = 0; t < thread_counts.size(); ++t) {
+    ThreadPool pool(thread_counts[t]);
+    std::vector<double> estimates;
+    const double seconds = TimeBest(2, [&] {
+      estimates = BitSlicedBatchMonteCarloSkylineProbabilities(
+                      data, model, pool, sliced, &sliced_stats)
+                      .value();
+    });
+    if (t == 0) {
+      reference = estimates;
+      sliced_seconds = seconds;
+    } else if (estimates != reference) {
+      bit_identical = false;
+    }
+    threads_json << "        {\"threads\": " << thread_counts[t]
+                 << ", \"seconds\": " << FormatDouble(seconds)
+                 << ", \"speedup_vs_1\": "
+                 << FormatDouble(sliced_seconds / seconds) << "}"
+                 << (t + 1 < thread_counts.size() ? "," : "") << "\n";
+  }
+  SKYPREF_CHECK(bit_identical);
+
+  // Different streams, same probabilities: per target, both estimates
+  // sit within HoeffdingEpsilon(worlds, 1e-6) of the truth.
+  double max_abs_diff = 0.0;
+  for (ObjectId t = 0; t < data.size(); ++t) {
+    max_abs_diff = std::max(max_abs_diff,
+                            std::abs(block_estimates[t] - reference[t]));
+  }
+  const double bar = 2.0 * HoeffdingEpsilon(block.monte_carlo.samples, 1e-6);
+  SKYPREF_CHECK(max_abs_diff < bar);
+
+  std::ostringstream json;
+  json << "    \"batch\": {\n"
+       << "      \"targets\": " << data.size() << ",\n"
+       << "      \"samples\": " << block.monte_carlo.samples << ",\n"
+       << "      \"block_batch_1thread_seconds\": "
+       << FormatDouble(block_seconds) << ",\n"
+       << "      \"bitslice_batch_1thread_seconds\": "
+       << FormatDouble(sliced_seconds) << ",\n"
+       << "      \"bitslice_batch_1thread_worlds_per_sec\": "
+       << FormatDouble(worlds / sliced_seconds) << ",\n"
+       << "      \"speedup_vs_block_batch\": "
+       << FormatDouble(block_seconds / sliced_seconds) << ",\n"
+       << "      \"block_batch_pair_draws\": " << block_stats.pair_draws
+       << ",\n"
+       << "      \"bitslice_batch_pair_draws\": " << sliced_stats.pair_draws
+       << ",\n"
+       << "      \"max_abs_estimate_diff\": " << FormatDouble(max_abs_diff)
+       << ",\n"
+       << "      \"threads\": [\n"
+       << threads_json.str() << "      ],\n"
+       << "      \"bit_identical_across_threads\": "
+       << (bit_identical ? "true" : "false") << "\n"
+       << "    }";
+  return json.str();
+}
+
 /// Section 7: the bit-slicing tentpole. Same hard target and workload
 /// family as BenchSamScaling (block-Zipf, correlated blocks, big
 /// groups) at the n = 150 scale the tentpole is pinned against. The
@@ -632,7 +724,8 @@ std::string BenchBitslice() {
   }
   json << "    ],\n"
        << "    \"bit_identical_across_threads\": "
-       << (bit_identical ? "true" : "false") << "\n"
+       << (bit_identical ? "true" : "false") << ",\n"
+       << BenchBitsliceBatch(data, model) << "\n"
        << "  }";
   SKYPREF_CHECK(bit_identical);
   return json.str();

@@ -1,6 +1,7 @@
 #include "src/core/sam_bitslice.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -72,9 +73,10 @@ FlatSamInstance PruneImpossible(const FlatSamInstance& inst) {
 // Single-target chunk state
 // -------------------------------------------------------------------------
 
-/// Chunks whose pair masks are drawn together: NextBernoulliWords8
-/// produces one pair's masks for eight consecutive chunks per call, so
-/// the memo granularity is the 512-world SUPERCHUNK, not the chunk.
+/// Chunks whose pair masks are drawn together: NextBernoulliWords8 and
+/// NextTernaryWords8 produce one pair's masks for eight consecutive
+/// chunks per call, so the memo granularity of both engines is the
+/// 512-world SUPERCHUNK, not the chunk.
 constexpr std::uint64_t kChunksPerGroup = 8;
 
 /// Per-block mask memo of the single-target engine: per distinct pair,
@@ -146,35 +148,45 @@ std::uint64_t SampleChunk(const FlatSamInstance& inst, SliceState& state,
 }
 
 // -------------------------------------------------------------------------
-// Batch chunk state
+// Batch superchunk state
 // -------------------------------------------------------------------------
 
+/// One superchunk's worth of mask words: word j covers chunk j's worlds.
+using SuperWord = std::array<std::uint64_t, kChunksPerGroup>;
+
 /// Per-block mask memo of the batch engine: per distinct ternary pair,
-/// TWO mutually exclusive masks per chunk (lo-beats-hi, hi-beats-lo)
-/// drawn jointly by NextTernaryWords and shared by every target.
+/// the lo-beats-hi and hi-beats-lo masks of all eight chunks of the
+/// current superchunk, drawn together by one NextTernaryWords8 call and
+/// shared by every target. Pair p's sixteen words sit side by side (lo
+/// words at mask[2p * 8], hi words at mask[(2p + 1) * 8]), so a packed
+/// requirement (p << 1 | want_hi) indexes its eight words directly.
+/// Epoch stamps invalidate every pair per superchunk without clearing;
+/// the eight-lane generator is forked from the block's Rng on first use.
 struct BatchSliceState {
   explicit BatchSliceState(std::size_t pairs)
-      : epoch_mark(pairs, 0), lo_mask(pairs), hi_mask(pairs) {}
+      : epoch_mark(pairs, 0), mask(pairs * 2 * kChunksPerGroup) {}
 
   std::vector<std::uint64_t> epoch_mark;
-  std::vector<std::uint64_t> lo_mask;
-  std::vector<std::uint64_t> hi_mask;
-  std::uint64_t epoch = 0;
+  std::vector<std::uint64_t> mask;
+  std::uint64_t epoch = 0;  // superchunk epoch
+  std::optional<OctoRng> oct;
 };
 
-/// Worlds of the current chunk in which \p target survives. Orientation
-/// masks are drawn lazily on first touch (always lazy, like the scalar
-/// batch sampler) and memoized for the rest of the chunk, so all targets
-/// see the same 64 sampled worlds.
-std::uint64_t BatchChunkSurvivors(const BatchPlan& plan, BatchSliceState& state,
-                                  ObjectId target, Rng& rng,
-                                  std::uint64_t valid,
-                                  std::uint64_t* pair_draws) {
-  std::uint64_t dominated = 0;
+/// Worlds of the current superchunk in which \p target survives, over
+/// the lanes set in \p valid (a trailing partial superchunk clears the
+/// rest). Orientation masks are drawn lazily on first touch and
+/// memoized for the rest of the superchunk, so all targets see the same
+/// sampled worlds. A candidate stops once all eight of its accumulators
+/// are zero, the target once every valid lane is dominated.
+std::uint64_t BatchSuperchunkSurvivors(const BatchPlan& plan,
+                                       BatchSliceState& state, ObjectId target,
+                                       const SuperWord& valid,
+                                       std::uint64_t* pair_draws) {
+  SuperWord dominated{};
   const std::uint32_t begin = plan.target_begin[target];
   const std::uint32_t end = plan.target_begin[target + 1];
   for (std::uint32_t slot = begin; slot < end; ++slot) {
-    std::uint64_t acc = ~0ULL;
+    SuperWord acc = valid;
     const std::uint32_t rb = plan.req_offsets[slot];
     const std::uint32_t re = plan.req_offsets[slot + 1];
     for (std::uint32_t r = rb; r < re; ++r) {
@@ -182,17 +194,33 @@ std::uint64_t BatchChunkSurvivors(const BatchPlan& plan, BatchSliceState& state,
       const std::uint32_t p = packed >> 1;
       if (state.epoch_mark[p] != state.epoch) {
         state.epoch_mark[p] = state.epoch;
-        NextTernaryWords(rng, plan.cut_lo[p], plan.cut_hi[p],
-                         &state.lo_mask[p], &state.hi_mask[p]);
-        *pair_draws += 64;
+        std::uint64_t* lo = &state.mask[std::size_t{p} * 2 * kChunksPerGroup];
+        NextTernaryWords8(*state.oct, plan.cut_lo[p], plan.cut_hi[p], lo,
+                          lo + kChunksPerGroup);
+        *pair_draws += 64 * kChunksPerGroup;
       }
-      acc &= (packed & 1) != 0 ? state.hi_mask[p] : state.lo_mask[p];
-      if (acc == 0) break;
+      const std::uint64_t* m =
+          &state.mask[std::size_t{packed} * kChunksPerGroup];
+      std::uint64_t alive = 0;
+      for (std::size_t j = 0; j < kChunksPerGroup; ++j) {
+        acc[j] &= m[j];
+        alive |= acc[j];
+      }
+      if (alive == 0) break;
     }
-    dominated |= acc;
-    if ((dominated & valid) == valid) break;
+    std::uint64_t open = 0;
+    for (std::size_t j = 0; j < kChunksPerGroup; ++j) {
+      dominated[j] |= acc[j];
+      open |= valid[j] & ~dominated[j];
+    }
+    if (open == 0) break;
   }
-  return ~dominated & valid;
+  std::uint64_t survivors = 0;
+  for (std::size_t j = 0; j < kChunksPerGroup; ++j) {
+    survivors += static_cast<std::uint64_t>(
+        std::popcount(valid[j] & ~dominated[j]));
+  }
+  return survivors;
 }
 
 }  // namespace
@@ -358,16 +386,20 @@ Result<std::vector<double>> BitSlicedBatchMonteCarloSkylineProbabilities(
       num_blocks, std::vector<std::uint64_t>(n, 0));
   std::vector<BlockOutcome> outcomes;
   SKYPREF_RETURN_IF_ERROR(RunDeterministicBlocks(
-      pool, samples, mc.block_size, /*chunk=*/64, mc.seed, deadline, mc.cancel,
-      outcomes, [&](std::uint64_t b) {
+      pool, samples, mc.block_size, /*chunk=*/64 * kChunksPerGroup, mc.seed,
+      deadline, mc.cancel, outcomes, [&](std::uint64_t b) {
         return [&plan, counts = survived[b].data(), n,
                 state = BatchSliceState(plan.pair_count())](
                    Rng& rng, std::uint64_t step, std::uint64_t* draws) mutable {
+          if (!state.oct.has_value()) state.oct.emplace(rng);
           ++state.epoch;
-          const std::uint64_t valid = ValidLanes(step);
+          SuperWord valid{};
+          for (std::uint64_t j = 0; j * 64 < step; ++j) {
+            valid[j] = ValidLanes(step - j * 64);
+          }
           for (ObjectId t = 0; t < n; ++t) {
-            counts[t] += static_cast<std::uint64_t>(std::popcount(
-                BatchChunkSurvivors(plan, state, t, rng, valid, draws)));
+            counts[t] +=
+                BatchSuperchunkSurvivors(plan, state, t, valid, draws);
           }
         };
       }));

@@ -30,23 +30,29 @@
 /// sharing a value pair see the same sampled orientation in every
 /// world) and, in lazy mode, a pair's eight masks are generated only
 /// when a candidate whose accumulated AND is still alive first touches
-/// the pair during the superchunk. The batch estimator draws its
-/// ternary orientation masks per chunk via NextTernaryWords.
-/// pair_draws counts 64 per mask GENERATED (512 per wide call, even
-/// for a trailing superchunk that uses fewer chunks): the number of
-/// world-pair outcomes materialized, comparable with the scalar
-/// engines' per-draw count.
+/// the pair during the superchunk. The batch estimator uses the same
+/// superchunk: NextTernaryWords8 draws an orientation variable's lo and
+/// hi masks for all eight chunks in one call, and each target's
+/// candidate slots are walked once per superchunk over eight-word mask
+/// rows. pair_draws counts 64 per mask word GENERATED — 512 per wide
+/// call, even for a trailing superchunk that uses fewer chunks: the
+/// number of world-pair outcomes materialized, comparable with the
+/// scalar engines' per-draw count.
 ///
 /// Determinism. Same block contract as kBlock: block b samples from
 /// Rng(SplitSeed(seed, b)), blocks reduce in index order, deadline
 /// truncation keeps a deterministic block prefix (sam_parallel.h). The
-/// engine consumes the stream in whole 64-world chunks, so estimates
-/// are bit-identical at every thread count and under truncation, but
-/// NOT equal to kBlock's (each engine defines its own stream). The
+/// engines consume the stream in whole 64-world chunks (single target)
+/// or whole 512-world superchunks (batch), so estimates are
+/// bit-identical at every thread count and under truncation, but NOT
+/// equal to kBlock's (each engine defines its own stream). The
 /// block_size must be a multiple of 64 so chunks never straddle a block
-/// boundary; a trailing partial chunk (samples not a multiple of 64)
-/// masks the invalid lanes out of the survivor count but still spends
-/// whole mask words.
+/// boundary; a trailing partial chunk or superchunk masks the invalid
+/// lanes out of the survivor count but still spends whole mask words.
+/// Cancellation and the deadline are polled once per call of the world
+/// closure: per chunk for the single-target engine, per superchunk for
+/// the batch, whose truncated block 0 therefore keeps min(512,
+/// block_size) worlds.
 
 #include <span>
 #include <vector>
@@ -81,8 +87,13 @@ Result<MonteCarloResult> BitSlicedMonteCarloSkylineProbability(
 /// interned ternary pair table, dominance-sorted candidates) as
 /// BatchMonteCarloSkylineProbabilities, but each distinct (dim, lo, hi)
 /// orientation variable is sampled as TWO masks per 64-world chunk —
-/// lo-beats-hi and hi-beats-lo, mutually exclusive by construction
-/// (NextTernaryWords) — shared by every target of the batch.
+/// lo-beats-hi and hi-beats-lo, mutually exclusive by construction —
+/// shared by every target of the batch. Worlds run in 512-world
+/// superchunks: a variable's masks for all eight chunks come from one
+/// NextTernaryWords8 call on first touch (stats->pair_draws grows by
+/// 512 per call), each target's candidates are walked once per
+/// superchunk, and cancellation and the deadline are polled once per
+/// superchunk.
 /// BatchMonteCarloSkylineProbabilities dispatches here when
 /// options.monte_carlo.engine == kBitSliced; calling this directly
 /// ignores the engine field.

@@ -143,8 +143,9 @@ inline BlockPrefix CountedPrefix(const std::vector<BlockOutcome>& outcomes) {
 /// for `step` consecutive worlds at a time, at most `chunk` per call —
 /// against block b's private SplitSeed(seed, b) Rng. The scalar engines
 /// pass chunk = 1 (one world per call, polls at the serial cadence after
-/// every world); the bit-sliced engine passes chunk = 64 (one mask word
-/// per call, polls after every word). Deterministic per (seed,
+/// every world); the bit-sliced engines pass chunk = 64 (single target:
+/// one mask word per call, polls after every word) or chunk = 512
+/// (batch: one superchunk per call, polls after every superchunk). Deterministic per (seed,
 /// block_size, chunk) at every thread count; see sam_parallel.h for the
 /// truncation contract. Returns Cancelled when any block observes a
 /// tripped token.

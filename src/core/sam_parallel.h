@@ -117,7 +117,10 @@ struct BatchSamStats {
   std::uint64_t samples = 0;
   /// Ternary preference draws across all counted worlds — compare with
   /// the summed MonteCarloResult::pair_draws of a per-target loop to see
-  /// the world-sharing win.
+  /// the world-sharing win. The bit-sliced batch counts the world-pair
+  /// outcomes it materializes: 512 per NextTernaryWords8 call, so its
+  /// count is a multiple of 512 and includes the unused lanes of a
+  /// trailing partial superchunk.
   std::uint64_t pair_draws = 0;
   bool truncated = false;
 };

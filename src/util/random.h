@@ -198,6 +198,8 @@ void NextBernoulliWords8Scalar(OctoRng& o, std::uint64_t threshold,
 /// because every revealed U bit is shared by both comparisons — the
 /// word-level analog of resolving both `ThresholdHit` tests of
 /// sam_parallel.cc's scalar batch sampler from a single NextUint64.
+/// The bit-sliced batch sampler draws through NextTernaryWords8 below;
+/// this single-lane form is that kernel's per-lane reference.
 inline void NextTernaryWords(Rng& rng, std::uint64_t cut_lo,
                              std::uint64_t cut_hi, std::uint64_t* lo_mask,
                              std::uint64_t* hi_mask) {
@@ -234,6 +236,33 @@ inline void NextTernaryWords(Rng& rng, std::uint64_t cut_lo,
   *lo_mask = below_lo;
   *hi_mask = below_hi & ~below_lo;
 }
+
+/// Eight ternary mask pairs in one call — NextTernaryWords's wide
+/// sibling, used by the bit-sliced batch sampler to draw one
+/// orientation variable's masks for a 512-world superchunk at a time.
+///
+/// (lo_out[l], hi_out[l]) equals NextTernaryWords(rng_l, cut_lo, cut_hi)
+/// where rng_l is lane l of \p o in the state it had before the call:
+/// one shared uniform per world compared against both cuts, so the two
+/// masks of a lane are mutually exclusive. The lanes run in LOCKSTEP
+/// under one round rule: before revealing bit position k, the undecided
+/// lanes of any cut whose lowest set bit lies above k are cleared (the
+/// cut's remaining suffix is zero, so they are "not below"), and the
+/// loop stops once no lane of either cut is undecided. A lane may
+/// therefore advance past the point where its own scalar draw would have
+/// stopped, but never changes its output by doing so. The sentinels of
+/// NextTernaryWords (cut_lo == UINT64_MAX; cut_lo == 0 with cut_hi 0 or
+/// UINT64_MAX) consume no generator words. The AVX-512F kernel and the
+/// portable reference agree word for word, masks and state alike.
+void NextTernaryWords8(OctoRng& o, std::uint64_t cut_lo, std::uint64_t cut_hi,
+                       std::uint64_t* lo_out, std::uint64_t* hi_out);
+
+namespace internal {
+/// Portable reference implementation of NextTernaryWords8.
+void NextTernaryWords8Scalar(OctoRng& o, std::uint64_t cut_lo,
+                             std::uint64_t cut_hi, std::uint64_t* lo_out,
+                             std::uint64_t* hi_out);
+}  // namespace internal
 
 }  // namespace skypref
 

@@ -257,34 +257,122 @@ TEST(BitSlicedSamTest, FailpointPoisonsTheSameBlockAtEveryThreadCount) {
 #endif  // SKYPREF_FAILPOINTS
 
 TEST(BitSlicedBatchTest, BitIdenticalAcrossThreadCounts) {
+  // 3000 worlds is not a multiple of 512: block 64 makes every block one
+  // partial superchunk, block 640 ends each block with a two-chunk
+  // superchunk, and blocks 512 and 1024 are whole superchunks — all with
+  // a ragged trailing block.
   Dataset data = RandomSmallDataset(23, 20, 3, 4);
   TablePreferenceModel model;
+  for (std::uint64_t block_size :
+       {std::uint64_t{64}, std::uint64_t{512}, std::uint64_t{640},
+        std::uint64_t{1024}}) {
+    SolverOptions options;
+    options.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
+    options.monte_carlo.samples = 3000;
+    options.monte_carlo.block_size = block_size;
+    options.monte_carlo.seed = 77;
+
+    ThreadPool baseline_pool(0);
+    BatchSamStats baseline_stats;
+    auto baseline = BatchMonteCarloSkylineProbabilities(
+        data, model, baseline_pool, options, &baseline_stats);
+    ASSERT_TRUE(baseline.ok()) << baseline.status();
+    ASSERT_EQ(baseline->size(), data.size());
+    EXPECT_EQ(baseline_stats.samples, 3000u) << "block_size=" << block_size;
+    EXPECT_FALSE(baseline_stats.truncated);
+    // Every wide call materializes one pair's masks for all 512 worlds
+    // of a superchunk, even when the block ends after fewer chunks.
+    EXPECT_GT(baseline_stats.pair_draws, 0u);
+    EXPECT_EQ(baseline_stats.pair_draws % 512, 0u);
+
+    for (std::size_t threads : kThreadCounts) {
+      ThreadPool pool(threads);
+      BatchSamStats stats;
+      auto run = BatchMonteCarloSkylineProbabilities(data, model, pool,
+                                                     options, &stats);
+      ASSERT_TRUE(run.ok()) << run.status();
+      EXPECT_EQ(*run, *baseline)
+          << "block_size=" << block_size << " threads=" << threads;
+      EXPECT_EQ(stats.pair_draws, baseline_stats.pair_draws)
+          << "block_size=" << block_size << " threads=" << threads;
+      EXPECT_EQ(stats.samples, baseline_stats.samples)
+          << "block_size=" << block_size << " threads=" << threads;
+    }
+  }
+}
+
+TEST(BitSlicedBatchTest, CertainPreferencesCountOnlyValidLanes) {
+  // Object 1 dominates object 0 in every world. A trailing partial
+  // superchunk must count only its valid lanes: any leaked invalid lane
+  // would push sky(1) past 1 or sky(0) past 0.
+  Dataset data(2);
+  data.Append({0, 0}).CheckOK();
+  data.Append({1, 1}).CheckOK();
+  TablePreferenceModel model;
+  model.Set(0, 1, 0, 1.0, 0.0).CheckOK();
+  model.Set(1, 1, 0, 1.0, 0.0).CheckOK();
   SolverOptions options;
-  options.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
-  options.monte_carlo.samples = 3008;  // 47 chunks: exercises 5+ blocks
-  options.monte_carlo.block_size = 512;
-  options.monte_carlo.seed = 77;
+  options.monte_carlo.samples = 1000;  // blocks of 640 and 360 worlds
+  options.monte_carlo.block_size = 640;
+  ThreadPool pool(2);
+  BatchSamStats stats;
+  auto run = BitSlicedBatchMonteCarloSkylineProbabilities(data, model, pool,
+                                                          options, &stats);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_EQ(stats.samples, stats.requested_samples);
+  EXPECT_EQ(stats.samples, 1000u);
+  EXPECT_DOUBLE_EQ((*run)[0], 0.0);
+  EXPECT_DOUBLE_EQ((*run)[1], 1.0);
+}
+
+TEST(BitSlicedBatchTest, PreExpiredDeadlineTruncatesIdenticallyPerThreadCount) {
+  Dataset data = RandomSmallDataset(31, 10, 2, 4);
+  TablePreferenceModel model;
+  SolverOptions options;
+  options.monte_carlo.samples = 10000;
+  options.monte_carlo.block_size = 1024;
+  options.monte_carlo.deadline =
+      Deadline::At(Deadline::Clock::now() - std::chrono::seconds(1));
 
   ThreadPool baseline_pool(0);
   BatchSamStats baseline_stats;
-  auto baseline = BatchMonteCarloSkylineProbabilities(
+  auto baseline = BitSlicedBatchMonteCarloSkylineProbabilities(
       data, model, baseline_pool, options, &baseline_stats);
   ASSERT_TRUE(baseline.ok()) << baseline.status();
-  ASSERT_EQ(baseline->size(), data.size());
-  EXPECT_EQ(baseline_stats.samples, 3008u);
-  EXPECT_FALSE(baseline_stats.truncated);
+  EXPECT_TRUE(baseline_stats.truncated);
+  // The deadline is polled once per superchunk: block 0 keeps exactly
+  // its first 512 worlds.
+  EXPECT_EQ(baseline_stats.samples, 512u);
+  EXPECT_EQ(baseline_stats.requested_samples, 10000u);
 
   for (std::size_t threads : kThreadCounts) {
     ThreadPool pool(threads);
     BatchSamStats stats;
-    auto run = BatchMonteCarloSkylineProbabilities(data, model, pool, options,
-                                                   &stats);
+    auto run = BitSlicedBatchMonteCarloSkylineProbabilities(data, model, pool,
+                                                            options, &stats);
     ASSERT_TRUE(run.ok()) << run.status();
-    EXPECT_EQ(*run, *baseline) << "threads=" << threads;
+    EXPECT_TRUE(stats.truncated) << "threads=" << threads;
+    EXPECT_EQ(stats.samples, baseline_stats.samples) << "threads=" << threads;
     EXPECT_EQ(stats.pair_draws, baseline_stats.pair_draws)
         << "threads=" << threads;
-    EXPECT_EQ(stats.samples, baseline_stats.samples) << "threads=" << threads;
+    EXPECT_EQ(*run, *baseline) << "threads=" << threads;
   }
+}
+
+TEST(BitSlicedBatchTest, PreCancelledTokenReturnsCancelled) {
+  Dataset data = Figure1Dataset();
+  TablePreferenceModel model;
+  CancelToken token;
+  token.RequestCancel();
+  SolverOptions options;
+  options.monte_carlo.samples = 2000;
+  options.monte_carlo.cancel = &token;
+  ThreadPool pool(2);
+  EXPECT_EQ(BitSlicedBatchMonteCarloSkylineProbabilities(data, model, pool,
+                                                         options)
+                .status()
+                .code(),
+            StatusCode::kCancelled);
 }
 
 TEST(BitSlicedBatchTest, EngineEnumDispatchEqualsDirectCall) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -371,6 +372,151 @@ TEST(NextBernoulliWords8Test, FullPrecisionMeanMatchesThreshold) {
   const double p = 1.0 / 3.0;
   const double sigma = std::sqrt(n * p * (1.0 - p));
   EXPECT_NEAR(static_cast<double>(hits), n * p, 5.0 * sigma);
+}
+
+/// Cut pairs (cut_lo <= cut_hi) covering every branch of the ternary
+/// round rule: random full-precision cuts, dyadic cuts, equal cuts, and
+/// the 0 / UINT64_MAX sentinels on either side.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> TernaryCutPairs() {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> cuts;
+  Rng rng(0x7e51ULL);
+  for (int i = 0; i < 400; ++i) {
+    std::uint64_t a = rng.NextUint64();
+    std::uint64_t b = rng.NextUint64();
+    if (a > b) std::swap(a, b);
+    cuts.emplace_back(a, b);
+    cuts.emplace_back(a, a);
+    // Short cuts decide after a few rounds, long ones run deep.
+    cuts.emplace_back(a >> 40 << 40, b);
+    cuts.emplace_back(a, b >> 58 << 58);
+  }
+  for (int i = 0; i < 64; ++i) {
+    for (int j = i; j < 64; j += 7) {
+      cuts.emplace_back(1ULL << i, 1ULL << j);
+    }
+    cuts.emplace_back(0, 1ULL << i);
+    cuts.emplace_back(1ULL << i, kMax);
+  }
+  for (std::uint64_t lo : {std::uint64_t{0}, kMax}) {
+    for (std::uint64_t hi : {std::uint64_t{0}, std::uint64_t{1} << 63, kMax}) {
+      if (lo <= hi) cuts.emplace_back(lo, hi);
+    }
+  }
+  return cuts;
+}
+
+bool SameState(const OctoRng& a, const OctoRng& b) {
+  for (int w = 0; w < 4; ++w) {
+    for (int l = 0; l < OctoRng::kLanes; ++l) {
+      if (a.s[w][l] != b.s[w][l]) return false;
+    }
+  }
+  return true;
+}
+
+TEST(NextTernaryWords8Test, DispatchMatchesScalarReference) {
+  // Whatever kernel the CPU dispatch picks must equal the portable
+  // reference word for word — masks AND the generator state afterwards,
+  // so the two kernels consume the stream identically call after call.
+  Rng pa(23), pb(23);
+  OctoRng a(pa), b(pb);
+  std::uint64_t lo_a[OctoRng::kLanes], hi_a[OctoRng::kLanes];
+  std::uint64_t lo_b[OctoRng::kLanes], hi_b[OctoRng::kLanes];
+  for (const auto& [cut_lo, cut_hi] : TernaryCutPairs()) {
+    NextTernaryWords8(a, cut_lo, cut_hi, lo_a, hi_a);
+    internal::NextTernaryWords8Scalar(b, cut_lo, cut_hi, lo_b, hi_b);
+    for (int l = 0; l < OctoRng::kLanes; ++l) {
+      ASSERT_EQ(lo_a[l], lo_b[l]) << cut_lo << "/" << cut_hi << " lane " << l;
+      ASSERT_EQ(hi_a[l], hi_b[l]) << cut_lo << "/" << cut_hi << " lane " << l;
+    }
+    ASSERT_TRUE(SameState(a, b)) << cut_lo << "/" << cut_hi;
+  }
+}
+
+TEST(NextTernaryWords8Test, FirstCallLanesMatchScalarOracle) {
+  // Lane l of a fresh OctoRng is the l-th Fork() of its parent; running
+  // the lanes in lockstep may draw past a lane's own stopping round but
+  // must never change its masks, so NextTernaryWords on the forked Rng
+  // is the per-lane oracle.
+  std::uint64_t seed = 1;
+  for (const auto& [cut_lo, cut_hi] : TernaryCutPairs()) {
+    Rng parent(seed), twin(seed);
+    ++seed;
+    OctoRng oct(parent);
+    std::uint64_t lo[OctoRng::kLanes], hi[OctoRng::kLanes];
+    NextTernaryWords8(oct, cut_lo, cut_hi, lo, hi);
+    for (int l = 0; l < OctoRng::kLanes; ++l) {
+      Rng lane(twin.Fork());
+      std::uint64_t want_lo = 0, want_hi = 0;
+      NextTernaryWords(lane, cut_lo, cut_hi, &want_lo, &want_hi);
+      ASSERT_EQ(lo[l], want_lo) << cut_lo << "/" << cut_hi << " lane " << l;
+      ASSERT_EQ(hi[l], want_hi) << cut_lo << "/" << cut_hi << " lane " << l;
+    }
+  }
+}
+
+TEST(NextTernaryWords8Test, MasksAreMutuallyExclusive) {
+  Rng parent(0x7e7e7fULL);
+  OctoRng oct(parent);
+  std::uint64_t lo[OctoRng::kLanes], hi[OctoRng::kLanes];
+  for (const auto& [cut_lo, cut_hi] : TernaryCutPairs()) {
+    NextTernaryWords8(oct, cut_lo, cut_hi, lo, hi);
+    for (int l = 0; l < OctoRng::kLanes; ++l) {
+      ASSERT_EQ(lo[l] & hi[l], 0ULL) << cut_lo << "/" << cut_hi;
+    }
+  }
+}
+
+TEST(NextTernaryWords8Test, FrequenciesMatchBothCuts) {
+  // Pr(lo) = 0.4, Pr(hi) = 0.3, Pr(incomparable) = 0.3 across all 512
+  // worlds of every call.
+  Rng parent(0x7a7a7bULL);
+  OctoRng oct(parent);
+  const std::uint64_t cut_lo = internal::BernoulliThreshold(0.4);
+  const std::uint64_t cut_hi = internal::BernoulliThreshold(0.7);
+  const int kCalls = 4096;
+  std::int64_t lo_hits = 0, hi_hits = 0;
+  std::uint64_t lo[OctoRng::kLanes], hi[OctoRng::kLanes];
+  for (int i = 0; i < kCalls; ++i) {
+    NextTernaryWords8(oct, cut_lo, cut_hi, lo, hi);
+    for (int l = 0; l < OctoRng::kLanes; ++l) {
+      lo_hits += std::popcount(lo[l]);
+      hi_hits += std::popcount(hi[l]);
+    }
+  }
+  const double n = 64.0 * OctoRng::kLanes * kCalls;
+  EXPECT_NEAR(static_cast<double>(lo_hits) / n, 0.4,
+              5.0 * std::sqrt(0.4 * 0.6 / n));
+  EXPECT_NEAR(static_cast<double>(hi_hits) / n, 0.3,
+              5.0 * std::sqrt(0.3 * 0.7 / n));
+}
+
+TEST(NextTernaryWords8Test, SentinelsAreExactAndFree) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  Rng pa(31), twin(31);
+  OctoRng oct(pa);
+  const OctoRng copy(twin);
+  std::uint64_t lo[OctoRng::kLanes], hi[OctoRng::kLanes];
+  // Pr(lo) >= 1: always lo.
+  NextTernaryWords8(oct, kMax, kMax, lo, hi);
+  for (int l = 0; l < OctoRng::kLanes; ++l) {
+    EXPECT_EQ(lo[l], ~0ULL);
+    EXPECT_EQ(hi[l], 0ULL);
+  }
+  // Pr(lo) = 0, Pr(lo) + Pr(hi) >= 1: always hi.
+  NextTernaryWords8(oct, 0, kMax, lo, hi);
+  for (int l = 0; l < OctoRng::kLanes; ++l) {
+    EXPECT_EQ(lo[l], 0ULL);
+    EXPECT_EQ(hi[l], ~0ULL);
+  }
+  // Both cuts 0: always incomparable.
+  NextTernaryWords8(oct, 0, 0, lo, hi);
+  for (int l = 0; l < OctoRng::kLanes; ++l) {
+    EXPECT_EQ(lo[l], 0ULL);
+    EXPECT_EQ(hi[l], 0ULL);
+  }
+  EXPECT_TRUE(SameState(oct, copy));  // no lane advanced
 }
 
 TEST(RngTest, ForkProducesIndependentStreams) {

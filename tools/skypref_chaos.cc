@@ -23,7 +23,9 @@
 // (null_dominators, over all targets).
 //
 // Engines swept: the batch exact solver (kFlat), the two deterministic
-// Sam engines (kBlock, kBitSliced), and the resilient ladder. A hang
+// Sam engines (kBlock, kBitSliced), the bit-sliced batch sampler
+// (bitsliced-batch: one shared-world call for all targets), and the
+// resilient ladder. A hang
 // watchdog aborts — after printing the offending schedule seed — if no
 // run makes progress for --watchdog-seconds, so a deadlock shaken loose
 // by kSpuriousWake or kDelay fails fast instead of wedging CI. Every
@@ -194,13 +196,20 @@ RationalPreferenceModel ChaosModel(std::uint64_t seed, const Dataset& data) {
 
 // ------------------------------------------------------------- engines
 
-enum class EngineKind { kFlat, kBlock, kBitSliced, kResilient };
+enum class EngineKind {
+  kFlat,
+  kBlock,
+  kBitSliced,
+  kBitSlicedBatch,
+  kResilient,
+};
 
 const char* EngineName(EngineKind e) {
   switch (e) {
     case EngineKind::kFlat: return "flat";
     case EngineKind::kBlock: return "block";
     case EngineKind::kBitSliced: return "bitsliced";
+    case EngineKind::kBitSlicedBatch: return "bitsliced-batch";
     case EngineKind::kResilient: return "resilient";
   }
   return "?";
@@ -232,9 +241,9 @@ MonteCarloOptions SamOptions(EngineKind engine, ObjectId target) {
   mc.samples = 2048;
   mc.block_size = 256;  // multiple of 64 for the bit-sliced engine
   mc.seed = HashMix(0xc4a05eedULL ^ target);
-  mc.engine = engine == EngineKind::kBitSliced
-                  ? MonteCarloOptions::Engine::kBitSliced
-                  : MonteCarloOptions::Engine::kBlock;
+  mc.engine = engine == EngineKind::kBlock
+                  ? MonteCarloOptions::Engine::kBlock
+                  : MonteCarloOptions::Engine::kBitSliced;
   return mc;
 }
 
@@ -277,6 +286,24 @@ RunOutcome RunEngine(EngineKind engine, const Dataset& data,
           out.value[t] = std::nan("");
           out.status[t] = result.status();
         }
+      }
+      break;
+    }
+    case EngineKind::kBitSlicedBatch: {
+      // One shared-world call for every target; block_size 256 leaves a
+      // half-empty trailing superchunk in every block.
+      SolverOptions options;
+      options.monte_carlo = SamOptions(engine, 0);
+      BatchSamStats stats;
+      auto result = BitSlicedBatchMonteCarloSkylineProbabilities(
+          data, model, pool, options, &stats);
+      if (result.ok()) {
+        out.value = std::move(result).value();
+        out.truncated.assign(n, stats.truncated);
+        out.achieved.assign(n, stats.samples);
+      } else {
+        out.value.assign(n, std::nan(""));
+        out.status.assign(n, result.status());
       }
       break;
     }
@@ -335,7 +362,8 @@ void CheckBaseline(EngineKind engine, const RunOutcome& base,
         }
         break;
       case EngineKind::kBlock:
-      case EngineKind::kBitSliced: {
+      case EngineKind::kBitSliced:
+      case EngineKind::kBitSlicedBatch: {
         // Statistical agreement at twice the Hoeffding bar (miss
         // probability <= kSamplerDelta^4 per target — not flaky).
         const double bar =
@@ -380,6 +408,7 @@ void CheckRun(EngineKind engine, const RunOutcome& run, const RunOutcome& base,
         break;
       case EngineKind::kBlock:
       case EngineKind::kBitSliced:
+      case EngineKind::kBitSlicedBatch:
         if (!run.truncated[t]) {
           if (!BitIdentical(run.value[t], base.value[t])) {
             Fail("untruncated sam estimate not bit-identical at " +
@@ -495,6 +524,7 @@ int main(int argc, char** argv) {
 
   const EngineKind engines[] = {EngineKind::kFlat, EngineKind::kBlock,
                                 EngineKind::kBitSliced,
+                                EngineKind::kBitSlicedBatch,
                                 EngineKind::kResilient};
 
   std::uint64_t runs = 0;
