@@ -6,7 +6,8 @@
 //
 //   * per-object Sam: n independent estimator runs, m worlds each;
 //   * shared worlds:  one stream of m worlds scoring all n objects at
-//     once (src/core/all_worlds.h).
+//     once — the bit-sliced batch sampler (src/core/sam_bitslice.h) on
+//     one thread, the engine behind ProbabilisticSkyline/TopKSkyline.
 //
 // Both see m worlds per object, so their errors are comparable; the
 // shared-world pass avoids re-sorting and re-sampling per target and is
@@ -22,6 +23,15 @@ using namespace skypref;
 using namespace skypref::bench;
 
 constexpr std::uint64_t kWorlds = 1000;
+
+// The shared-world estimator: bit-sliced batch, inline pool.
+SolverOptions SharedWorldOptions(std::uint64_t worlds, std::uint64_t seed) {
+  SolverOptions options;
+  options.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
+  options.monte_carlo.samples = worlds;
+  options.monte_carlo.seed = seed;
+  return options;
+}
 
 Dataset MakeData(std::size_t objects) {
   BlockZipfOptions options = BlockZipfConfig(objects, 3);
@@ -55,14 +65,15 @@ void BM_AllObjects_SharedWorlds(benchmark::State& state) {
   Dataset data = MakeData(static_cast<std::size_t>(state.range(0)));
   HashedPreferenceModel base = PaperPreferences();
   BlockLocalPreferenceModel prefs = BlockPrefs(base);
-  AllWorldsOptions options;
-  options.samples = kWorlds;
-  options.seed = 77;
+  ThreadPool pool(0);
+  const SolverOptions options = SharedWorldOptions(kWorlds, 77);
   double checksum = 0.0;
   for (auto _ : state) {
-    auto all = EstimateAllSkylineProbabilities(data, prefs, options).value();
+    auto estimates =
+        BatchMonteCarloSkylineProbabilities(data, prefs, pool, options)
+            .value();
     checksum = 0.0;
-    for (double estimate : all.estimates) checksum += estimate;
+    for (double estimate : estimates) checksum += estimate;
     Keep(checksum);
   }
   state.counters["expected_skyline_objects"] = checksum;
@@ -74,16 +85,18 @@ void BM_AllObjects_SharedWorldsError(benchmark::State& state) {
   HashedPreferenceModel base = PaperPreferences();
   BlockLocalPreferenceModel prefs = BlockPrefs(base);
   auto solver = SkylineSolver::Create(data, prefs).value();
-  AllWorldsOptions options;
-  options.samples = static_cast<std::uint64_t>(state.range(0));
-  options.seed = 31;
+  ThreadPool pool(0);
+  const SolverOptions options =
+      SharedWorldOptions(static_cast<std::uint64_t>(state.range(0)), 31);
   double max_error = 0.0;
   for (auto _ : state) {
-    auto all = EstimateAllSkylineProbabilities(data, prefs, options).value();
+    auto estimates =
+        BatchMonteCarloSkylineProbabilities(data, prefs, pool, options)
+            .value();
     max_error = 0.0;
     for (ObjectId i = 0; i < data.size(); ++i) {
       double truth = solver.Exact(i).value();
-      max_error = std::max(max_error, std::abs(all.estimates[i] - truth));
+      max_error = std::max(max_error, std::abs(estimates[i] - truth));
     }
     Keep(max_error);
   }

@@ -1,8 +1,8 @@
 // Extension bench — thread-parallel solver variants (src/core/parallel.h).
 //
-// Det+ parallelizes over Theorem-4 groups, sampling over world chunks;
-// results are bit-identical to the serial path for every thread count
-// (asserted in tests; here we measure the scaling).
+// Det+ parallelizes over Theorem-4 groups, sampling over fixed world
+// blocks; results are bit-identical to the serial path for every thread
+// count (asserted in tests; here we measure the scaling).
 
 #include "bench_util.h"
 
@@ -41,16 +41,17 @@ void BM_Parallel_AllWorlds(benchmark::State& state) {
   HashedPreferenceModel base = PaperPreferences();
   BlockLocalPreferenceModel prefs = BlockPrefs(base);
   ThreadPool pool(threads);
-  AllWorldsOptions options;
-  options.samples = 2000;
-  options.seed = 7;
+  SolverOptions options;
+  options.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
+  options.monte_carlo.samples = 2000;
+  options.monte_carlo.seed = 7;
   double checksum = 0.0;
   for (auto _ : state) {
-    auto all =
-        ParallelEstimateAllSkylineProbabilities(data, prefs, pool, options)
+    auto estimates =
+        BatchMonteCarloSkylineProbabilities(data, prefs, pool, options)
             .value();
     checksum = 0.0;
-    for (double estimate : all.estimates) checksum += estimate;
+    for (double estimate : estimates) checksum += estimate;
     Keep(checksum);
   }
   state.counters["threads"] = static_cast<double>(threads);
@@ -126,7 +127,7 @@ BENCHMARK(BM_Parallel_BatchSam)
 
 int main(int argc, char** argv) {
   std::printf("== Extension: thread scaling of Det+ (per-group), "
-              "all-objects sampling (per-chunk), and block Sam "
+              "bit-sliced all-objects sampling and block Sam "
               "(per-world-block); arg = worker threads, 0 = inline ==\n");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -45,19 +45,22 @@ void BM_TopK_FixedBudget(benchmark::State& state) {
   Dataset data = MakeData(static_cast<std::size_t>(state.range(0)));
   HashedPreferenceModel base = PaperPreferences();
   BlockLocalPreferenceModel prefs = BlockPrefs(base);
-  AllWorldsOptions options;
-  options.epsilon = 0.01;  // comparable to the race's epsilon_floor / 2
-  options.delta = 0.01;
-  options.seed = 5;
+  ThreadPool pool(0);
+  SolverOptions options;
+  options.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
+  // Comparable to the race's epsilon_floor / 2.
+  options.monte_carlo.epsilon = 0.01;
+  options.monte_carlo.delta = 0.01;
+  options.monte_carlo.seed = 5;
 
   std::size_t count = 0;
   for (auto _ : state) {
-    auto top = TopKSkyline(data, prefs, 10, options).value();
+    auto top = TopKSkyline(data, prefs, 10, pool, options).value();
     count = top.size();
     Keep(count);
   }
-  state.counters["worlds"] = static_cast<double>(
-      AllWorldsSampleSize(options.epsilon, options.delta, data.size()));
+  state.counters["worlds"] = static_cast<double>(AllWorldsSampleSize(
+      options.monte_carlo.epsilon, options.monte_carlo.delta, data.size()));
 }
 
 BENCHMARK(BM_TopK_Race)

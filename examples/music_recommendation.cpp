@@ -7,12 +7,13 @@
 // preferences as probabilities and surface the probabilistic skyline:
 // recordings whose skyline probability clears a threshold tau.
 //
-// The example exercises the all-worlds estimator (the shared-world
-// extension of the paper's future-work section), the probabilistic
-// skyline query, and the top-k ranking.
+// The example exercises the shared-world batch estimator (the
+// all-objects extension of the paper's future-work section), the
+// probabilistic skyline query, and the top-k ranking.
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "src/skypref.h"
 
@@ -67,25 +68,27 @@ int main() {
   // estimate, demonstrating that one world stream prices the whole
   // catalogue at once.
   auto solver = SkylineSolver::Create(data, prefs).value();
-  AllWorldsOptions mc;
-  mc.samples = 60000;
-  mc.seed = 2013;
-  AllWorldsResult all =
-      EstimateAllSkylineProbabilities(data, prefs, mc).value();
+  ThreadPool pool(0);  // inline; any thread count gives the same numbers
+  SolverOptions mc;
+  mc.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
+  mc.monte_carlo.samples = 60000;
+  mc.monte_carlo.seed = 2013;
+  std::vector<double> estimates =
+      BatchMonteCarloSkylineProbabilities(data, prefs, pool, mc).value();
 
   std::printf("%-32s %10s %10s\n", "track", "exact", "sampled");
   for (ObjectId i = 0; i < data.size(); ++i) {
     double exact = solver.Exact(i).value();
     std::printf("%-32s %10.4f %10.4f\n", tracks[i].name, exact,
-                all.estimates[i]);
+                estimates[i]);
   }
 
   const double tau = 0.25;
-  auto skyline = ProbabilisticSkyline(data, prefs, tau, mc).value();
+  auto skyline = ProbabilisticSkyline(data, prefs, tau, pool, mc).value();
   std::printf("\nProbabilistic skyline (tau = %.2f):\n", tau);
   for (ObjectId id : skyline) std::printf("  %s\n", tracks[id].name);
 
-  auto top = TopKSkyline(data, prefs, 3, mc).value();
+  auto top = TopKSkyline(data, prefs, 3, pool, mc).value();
   std::printf("\nTop-3 recommendations:\n");
   for (const auto& [id, score] : top) {
     std::printf("  %-32s %.4f\n", tracks[id].name, score);

@@ -201,7 +201,8 @@ Result<bool> DecideThreshold(const Dataset& data, ObjectId target,
                              const BoundsOptions& options,
                              bool* used_exact_fallback) {
   if (used_exact_fallback != nullptr) *used_exact_fallback = false;
-  if (tau < 0.0 || tau > 1.0) {
+  // Negated in-range test, so a NaN threshold is rejected too.
+  if (!(tau >= 0.0 && tau <= 1.0)) {
     return Status::InvalidArgument("threshold must lie in [0,1]");
   }
   if (target >= data.size()) {

@@ -27,6 +27,12 @@ std::uint64_t HoeffdingSampleSize(double epsilon, double delta) {
   return static_cast<std::uint64_t>(m);
 }
 
+std::uint64_t AllWorldsSampleSize(double epsilon, double delta,
+                                  std::size_t n) {
+  if (n == 0) return 0;
+  return HoeffdingSampleSize(epsilon, delta / static_cast<double>(n));
+}
+
 double HoeffdingEpsilon(std::uint64_t samples, double delta) {
   if (samples == 0 || delta <= 0.0 || delta >= 1.0) return 1.0;
   double eps = std::sqrt(std::log(2.0 / delta) /

@@ -43,6 +43,7 @@
 ///    contract as kBlock (its own stream, so estimates differ from
 ///    kBlock's but are equally deterministic).
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -108,7 +109,7 @@ struct MonteCarloOptions {
   Engine engine = Engine::kSerial;
 
   /// Worlds per block of the kBlock and kBitSliced engines. Like
-  /// ParallelOptions::sample_chunks this is part of the NUMERIC
+  /// ParallelOptions::exact_tasks this is part of the NUMERIC
   /// contract: the estimate depends on (seed, block_size) but never on
   /// the thread count. Must be >= 1 for the kBlock engine; the
   /// bit-sliced engine additionally requires a multiple of 64.
@@ -140,6 +141,13 @@ struct MonteCarloResult {
 /// below) — casting such a value to uint64 directly would be undefined
 /// behavior, not a big number.
 std::uint64_t HoeffdingSampleSize(double epsilon, double delta);
+
+/// Worlds for a simultaneous (epsilon, delta) guarantee over \p n
+/// estimates drawn from one shared world stream (the all-objects query):
+/// Hoeffding plus a union bound, HoeffdingSampleSize(epsilon, delta / n)
+/// = ceil(ln(2n/delta) / (2 epsilon^2)). Saturates like
+/// HoeffdingSampleSize; 0 when n == 0 or the arguments are invalid.
+std::uint64_t AllWorldsSampleSize(double epsilon, double delta, std::size_t n);
 
 /// The inverse: the epsilon that \p samples worlds certify at confidence
 /// 1 - delta, sqrt(ln(2/delta) / (2 m)) — how a truncated result's error

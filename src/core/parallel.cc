@@ -19,7 +19,6 @@
 #include "src/util/check.h"
 #include "src/util/failpoint.h"
 #include "src/util/hash.h"
-#include "src/util/random.h"
 #include "src/util/try_alloc.h"
 
 namespace skypref {
@@ -388,160 +387,6 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
   }
   if (stats != nullptr) *stats = local;
   return results;
-}
-
-namespace {
-
-/// Splits `total` into `chunks` nearly-equal pieces; piece i gets
-/// total/chunks plus one of the remainder's units.
-std::uint64_t ChunkSize(std::uint64_t total, std::uint32_t chunks,
-                        std::uint32_t index) {
-  std::uint64_t base = total / chunks;
-  return base + (index < total % chunks ? 1 : 0);
-}
-
-}  // namespace
-
-Result<MonteCarloResult> ParallelMonteCarloSkylineProbability(
-    const Dataset& data, ObjectId target, const PreferenceModel& model,
-    ThreadPool& pool, const MonteCarloOptions& options,
-    const ParallelOptions& parallel) {
-  if (parallel.sample_chunks == 0) {
-    return Status::InvalidArgument("need at least one sample chunk");
-  }
-#if defined(SKYPREF_ENABLE_DCHECKS) && SKYPREF_ENABLE_DCHECKS
-  SKYPREF_RETURN_IF_ERROR(model.Validate(data));
-#endif
-  std::uint64_t samples = options.samples != 0
-                              ? options.samples
-                              : HoeffdingSampleSize(options.epsilon,
-                                                    options.delta);
-  if (samples == 0) {
-    return Status::InvalidArgument(
-        "Monte Carlo needs samples > 0 (or valid epsilon/delta)");
-  }
-  const std::uint32_t chunks = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(parallel.sample_chunks, samples));
-
-  // ONE deadline for the whole estimate, shared by every chunk
-  // (mirroring the exact solvers). With a deadline the achieved sample
-  // count depends on wall time, so truncated estimates are reproducible
-  // in distribution but not bit-identical — the untruncated path keeps
-  // the bit-identity contract.
-  MonteCarloOptions shared = options;
-  if (!shared.deadline.has_value()) {
-    shared.deadline = Deadline::After(options.time_limit_seconds);
-  }
-
-  std::vector<MonteCarloResult> partial(chunks);
-  std::vector<Status> statuses(chunks);
-  pool.ParallelFor(chunks, [&](std::size_t c) {
-    MonteCarloOptions chunk_options = shared;
-    chunk_options.samples =
-        ChunkSize(samples, chunks, static_cast<std::uint32_t>(c));
-    // Seed from the chunk index, not the thread: bit-reproducible for
-    // any thread count.
-    chunk_options.seed =
-        HashMix(options.seed ^ (0x9e3779b97f4a7c15ULL * (c + 1)));
-    auto result =
-        MonteCarloSkylineProbability(data, target, model, chunk_options);
-    if (result.ok()) {
-      partial[c] = result.value();
-    } else {
-      statuses[c] = result.status();
-    }
-  });
-
-  MonteCarloResult combined;
-  combined.requested_samples = samples;
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    SKYPREF_RETURN_IF_ERROR(statuses[c]);
-    SKYPREF_DCHECK(partial[c].skyline_worlds <= partial[c].samples);
-    combined.samples += partial[c].samples;
-    combined.skyline_worlds += partial[c].skyline_worlds;
-    combined.pair_draws += partial[c].pair_draws;
-    combined.truncated = combined.truncated || partial[c].truncated;
-  }
-  SKYPREF_DCHECK(combined.samples <= samples);
-  SKYPREF_DCHECK(combined.truncated || combined.samples == samples);
-  combined.estimate = static_cast<double>(combined.skyline_worlds) /
-                      static_cast<double>(combined.samples);
-  SKYPREF_DCHECK_PROB(combined.estimate);
-  return combined;
-}
-
-Result<AllWorldsResult> ParallelEstimateAllSkylineProbabilities(
-    const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
-    const AllWorldsOptions& options, const ParallelOptions& parallel) {
-  if (parallel.sample_chunks == 0) {
-    return Status::InvalidArgument("need at least one sample chunk");
-  }
-  SKYPREF_RETURN_IF_ERROR(data.Validate());
-  const std::size_t n = data.size();
-  std::uint64_t samples =
-      options.samples != 0
-          ? options.samples
-          : AllWorldsSampleSize(options.epsilon, options.delta, n);
-  if (samples == 0) {
-    return Status::InvalidArgument(
-        "all-worlds estimation needs samples > 0 (or valid epsilon/delta)");
-  }
-  const std::uint32_t chunks = static_cast<std::uint32_t>(
-      std::min<std::uint64_t>(parallel.sample_chunks, samples));
-
-  const Deadline deadline = options.deadline.has_value()
-                                ? *options.deadline
-                                : Deadline::After(options.time_limit_seconds);
-
-  // One master plan, cloned per chunk (the per-world memo tables must not
-  // be shared across concurrently sampled worlds).
-  SharedWorldSampler master(data, model);
-  std::vector<std::vector<std::uint64_t>> survived(
-      chunks, std::vector<std::uint64_t>(n, 0));
-  std::vector<std::uint64_t> draws(chunks, 0);
-  std::vector<Status> statuses(chunks, Status::OK());
-  pool.ParallelFor(chunks, [&](std::size_t c) {
-    SharedWorldSampler sampler = master;  // value copy
-    Rng rng(HashMix(options.seed ^ (0xa24baed4963ee407ULL * (c + 1))));
-    std::uint64_t chunk_samples =
-        ChunkSize(samples, chunks, static_cast<std::uint32_t>(c));
-    for (std::uint64_t h = 0; h < chunk_samples; ++h) {
-      // Same 64-world poll cadence as the serial estimator; h == 0 makes
-      // a pre-cancelled token fail at every thread count identically.
-      if ((h & 63) == 0) {
-        Status stop = CheckStop(options.cancel, deadline);
-        if (!stop.ok()) {
-          statuses[c] = std::move(stop);
-          return;
-        }
-      }
-      sampler.NextWorld();
-      for (ObjectId i = 0; i < n; ++i) {
-        if (sampler.Survives(i, rng, &draws[c])) ++survived[c][i];
-      }
-    }
-  });
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    SKYPREF_RETURN_IF_ERROR(statuses[c]);
-  }
-
-  AllWorldsResult result;
-  result.samples = samples;
-  result.estimates.assign(n, 0.0);
-  for (std::uint32_t c = 0; c < chunks; ++c) {
-    result.pair_draws += draws[c];
-    for (ObjectId i = 0; i < n; ++i) {
-      // Fixed block-order sum of exact integer counts (each < 2^53):
-      // bit-identical at every thread count, no compensation needed.
-      // skypref-analyze: allow(kahan-discipline)
-      result.estimates[i] += static_cast<double>(survived[c][i]);
-    }
-  }
-  for (ObjectId i = 0; i < n; ++i) {
-    result.estimates[i] /= static_cast<double>(samples);
-    SKYPREF_DCHECK_PROB(result.estimates[i]);
-  }
-  return result;
 }
 
 }  // namespace skypref

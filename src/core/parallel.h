@@ -2,7 +2,8 @@
 #define SKYPREF_CORE_PARALLEL_H_
 
 /// \file
-/// Thread-parallel variants of the heavy solvers.
+/// Thread-parallel variants of the exact solvers. (Sampling runs on the
+/// block-deterministic engines of sam_parallel.h and sam_bitslice.h.)
 ///
 /// Parallelism follows the algorithms' natural grain:
 ///
@@ -21,14 +22,10 @@
 ///    the per-task totals are reduced in task-creation order — so the
 ///    result is bit-identical for every thread count, including an
 ///    inline 0-thread pool. The task count is part of the numeric
-///    contract, exactly like sample_chunks below.
-///  * Sam — sampled worlds are i.i.d.; the m worlds split into a fixed
-///    number of chunks, each with a PRNG seeded from the CHUNK INDEX, so
-///    the estimate is bit-identical for every thread count (including a
-///    0-thread pool, which runs inline).
-///  * all-objects estimation — same chunking, with one SharedWorldSampler
-///    clone per chunk (worlds must stay internally consistent, so a
-///    chunk never shares its memo table with another).
+///    contract, exactly like the samplers' MonteCarloOptions::block_size.
+///  * all-objects Det+ — BatchExactSkylineProbabilities shares the
+///    preprocessing and the pair probabilities across every target and
+///    solves the targets largest-work-first.
 ///
 /// Time limits: a multi-solve query computes ONE shared deadline up
 /// front (ExactOptions::deadline) and passes it to every group solve, so
@@ -51,9 +48,7 @@
 #include <deque>
 #include <vector>
 
-#include "src/core/all_worlds.h"
 #include "src/core/exact.h"
-#include "src/core/monte_carlo.h"
 #include "src/core/solver.h"
 #include "src/model/dataset.h"
 #include "src/model/preference_model.h"
@@ -64,14 +59,10 @@
 namespace skypref {
 
 struct ParallelOptions {
-  /// Worlds are split into this many independently-seeded chunks; the
-  /// result depends on the chunk count but NOT on the thread count.
-  std::uint32_t sample_chunks = 32;
-
   /// Target number of subtree tasks when one exact DFS is split across
-  /// the pool. Like sample_chunks, the value is part of the numeric
-  /// contract: results depend on it (the reduction re-associates the
-  /// compensated sums at task boundaries) but never on the thread count.
+  /// the pool. The value is part of the numeric contract: results depend
+  /// on it (the reduction re-associates the compensated sums at task
+  /// boundaries) but never on the thread count.
   std::uint32_t exact_tasks = 64;
 
   /// Independence groups with at least this many candidates run on the
@@ -88,18 +79,6 @@ Result<double> ParallelExactSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
     ThreadPool& pool, const ExactOptions& options = {},
     const ParallelOptions& parallel = {}, SolveStats* stats = nullptr);
-
-/// Sam with chunked parallel world sampling. Deterministic per
-/// (options.seed, parallel.sample_chunks); thread-count independent.
-Result<MonteCarloResult> ParallelMonteCarloSkylineProbability(
-    const Dataset& data, ObjectId target, const PreferenceModel& model,
-    ThreadPool& pool, const MonteCarloOptions& options = {},
-    const ParallelOptions& parallel = {});
-
-/// All-objects estimation with chunked parallel world sampling.
-Result<AllWorldsResult> ParallelEstimateAllSkylineProbabilities(
-    const Dataset& data, const PreferenceModel& model, ThreadPool& pool,
-    const AllWorldsOptions& options = {}, const ParallelOptions& parallel = {});
 
 // -------------------------------------------------------------------------
 // Implementation: the intra-group parallel DFS engine

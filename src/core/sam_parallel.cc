@@ -202,7 +202,7 @@ struct BatchWorldState {
 /// True iff \p target survives the current world. Orientations are drawn
 /// lazily and memoized per world, so every target of the world sees the
 /// same sampled preference — the consistency that makes shared worlds
-/// valid (all_worlds.h).
+/// valid.
 bool BatchSurvives(const BatchPlan& plan, BatchWorldState& state,
                    ObjectId target, Rng& rng, std::uint64_t* pair_draws) {
   const std::uint32_t begin = plan.target_begin[target];

@@ -26,7 +26,7 @@
 ///     Counts reduce in block-index order, so the estimate is
 ///     bit-identical at 0/1/2/8 threads — the repo's established
 ///     reduction contract, with block_size part of the numeric contract
-///     exactly like ParallelOptions::sample_chunks.
+///     exactly like ParallelOptions::exact_tasks.
 ///
 ///     Truncation contract: a deadline (or the "sampler.block"
 ///     failpoint) truncates to a deterministic BLOCK PREFIX. Let T be
@@ -44,9 +44,11 @@
 ///  3. Batch Sam — BatchMonteCarloSkylineProbabilities estimates EVERY
 ///     object's skyline probability from ONE stream of shared worlds:
 ///     per world, each distinct (dim, value-pair) orientation is
-///     sampled once (ternary, as in all_worlds.h, so dominance checks
-///     between arbitrary objects stay mutually consistent) and all
-///     targets are evaluated against it. Preprocessing reuses the batch
+///     sampled once — ternary (lo preferred, hi preferred or
+///     incomparable), so dominance checks between arbitrary objects stay
+///     mutually consistent — and all targets are evaluated against it.
+///     Sampled worlds need not be transitive, so each target decides its
+///     membership by direct dominator search. Preprocessing reuses the batch
 ///     exact solver's machinery — ValuePostings-driven absorption,
 ///     PartitionWorkspace-recycled partitioning — and each target
 ///     checks its possible dominators in descending dominance-
@@ -62,7 +64,8 @@
 /// (it is an average of i.i.d. world indicators), so
 /// HoeffdingSampleSize(epsilon, delta) worlds give each target an
 /// (epsilon, delta) marginal guarantee; simultaneous coverage of all n
-/// targets needs the union-bound count of AllWorldsSampleSize.
+/// targets needs the union-bound count of AllWorldsSampleSize, which
+/// the ProbabilisticSkyline/TopKSkyline queries (prob_skyline.h) use.
 
 #include <cmath>
 #include <cstdint>

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
+#include <utility>
 
-#include "src/core/all_worlds.h"
+#include "src/util/hash.h"
 #include "src/util/random.h"
 
 namespace skypref {
@@ -14,6 +16,146 @@ struct Interval {
   double lower = 0.0;
   double upper = 1.0;
 };
+
+/// Shared-world sampling plan for the race: a table of ternary
+/// preference variables plus, per object, its possible dominators sorted
+/// by dominance probability (the Algorithm-2 checking sequence applied
+/// to every target). Candidates with dominance probability exactly zero
+/// are dropped — they can never dominate in any world.
+///
+/// Preferences are sampled lazily and memoized per world, so two objects
+/// querying the same value pair see the same orientation; sampled worlds
+/// need not be transitive, so membership is decided by direct dominator
+/// search. Unlike the batch samplers, the race evaluates a shrinking set
+/// of objects world by world, which is why it keeps this per-world plan.
+class SharedWorldSampler {
+ public:
+  SharedWorldSampler(const Dataset& data, const PreferenceModel& model);
+
+  /// Advances to a fresh world; previously sampled outcomes are dropped.
+  void NextWorld() { ++epoch_; }
+
+  /// True iff \p target survives (is undominated in) the current world.
+  /// Preferences are sampled on demand from \p rng and shared across all
+  /// Survives() calls of the same world.
+  bool Survives(ObjectId target, Rng& rng);
+
+ private:
+  enum class Orientation : std::uint8_t {
+    kLoPreferred,
+    kHiPreferred,
+    kIncomparable,
+  };
+  struct Requirement {
+    std::uint32_t pair_index;
+    Orientation want;
+  };
+  struct Candidate {
+    double dominance_probability;
+    std::vector<Requirement> requirements;
+  };
+  struct PairKey {
+    DimensionId dim;
+    ValueId lo;
+    ValueId hi;
+    bool operator==(const PairKey& o) const {
+      return dim == o.dim && lo == o.lo && hi == o.hi;
+    }
+  };
+  struct PairKeyHash {
+    std::size_t operator()(const PairKey& k) const {
+      std::size_t h = HashCombine(std::size_t{0xfeed1234}, k.dim);
+      h = HashCombine(h, k.lo);
+      return HashCombine(h, k.hi);
+    }
+  };
+
+  std::vector<double> pair_less_;
+  std::vector<double> pair_greater_;
+  std::vector<std::vector<Candidate>> per_target_;
+  std::vector<Orientation> outcome_;
+  std::vector<std::uint64_t> epoch_mark_;
+  std::uint64_t epoch_ = 0;
+};
+
+SharedWorldSampler::SharedWorldSampler(const Dataset& data,
+                                       const PreferenceModel& model) {
+  const DimensionId d = static_cast<DimensionId>(data.dimensions());
+  const std::size_t n = data.size();
+  std::unordered_map<PairKey, std::uint32_t, PairKeyHash> pair_index;
+  per_target_.resize(n);
+  for (ObjectId i = 0; i < n; ++i) {
+    for (ObjectId c = 0; c < n; ++c) {
+      if (c == i) continue;
+      Candidate candidate;
+      candidate.dominance_probability = 1.0;
+      bool possible = true;
+      for (DimensionId j = 0; j < d && possible; ++j) {
+        ValueId vc = data.value(c, j);
+        ValueId vi = data.value(i, j);
+        if (vc == vi) continue;
+        ValueId lo = std::min(vc, vi);
+        ValueId hi = std::max(vc, vi);
+        PrefPair pair = model.GetPair(j, lo, hi);
+        double toward_candidate = vc == lo ? pair.less : pair.greater;
+        // Exact-zero test: Pr = 0 means the orientation can never be
+        // drawn, so the candidate is pruned from the sampling plan.
+        if (toward_candidate == 0.0) {  // skypref-lint: allow(float-eq)
+          possible = false;
+          break;
+        }
+        candidate.dominance_probability *= toward_candidate;
+        auto [it, inserted] = pair_index.try_emplace(
+            PairKey{j, lo, hi}, static_cast<std::uint32_t>(pair_less_.size()));
+        if (inserted) {
+          pair_less_.push_back(pair.less);
+          pair_greater_.push_back(pair.greater);
+        }
+        candidate.requirements.push_back(
+            Requirement{it->second, vc == lo ? Orientation::kLoPreferred
+                                             : Orientation::kHiPreferred});
+      }
+      // A candidate with no differing dimension would duplicate the
+      // target; Dataset::Validate guarantees that cannot happen.
+      if (possible && !candidate.requirements.empty()) {
+        per_target_[i].push_back(std::move(candidate));
+      }
+    }
+    std::stable_sort(per_target_[i].begin(), per_target_[i].end(),
+                     [](const Candidate& a, const Candidate& b) {
+                       return a.dominance_probability >
+                              b.dominance_probability;
+                     });
+  }
+  outcome_.assign(pair_less_.size(), Orientation::kIncomparable);
+  epoch_mark_.assign(pair_less_.size(), 0);
+}
+
+bool SharedWorldSampler::Survives(ObjectId target, Rng& rng) {
+  for (const Candidate& candidate : per_target_[target]) {
+    bool dominates = true;
+    for (const Requirement& req : candidate.requirements) {
+      if (epoch_mark_[req.pair_index] != epoch_) {
+        epoch_mark_[req.pair_index] = epoch_;
+        double u = rng.NextDouble();
+        if (u < pair_less_[req.pair_index]) {
+          outcome_[req.pair_index] = Orientation::kLoPreferred;
+        } else if (u < pair_less_[req.pair_index] +
+                           pair_greater_[req.pair_index]) {
+          outcome_[req.pair_index] = Orientation::kHiPreferred;
+        } else {
+          outcome_[req.pair_index] = Orientation::kIncomparable;
+        }
+      }
+      if (outcome_[req.pair_index] != req.want) {
+        dominates = false;
+        break;
+      }
+    }
+    if (dominates) return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -70,10 +212,9 @@ Result<TopKRaceResult> TopKSkylineRace(const Dataset& data,
         std::min<std::uint64_t>(options.batch, max_worlds - result.worlds);
     for (std::uint64_t b = 0; b < batch; ++b) {
       sampler.NextWorld();
-      std::uint64_t draws = 0;
       for (ObjectId i = 0; i < n; ++i) {
         if (state[i] != State::kAlive) continue;
-        if (sampler.Survives(i, rng, &draws)) ++survived[i];
+        if (sampler.Survives(i, rng)) ++survived[i];
         ++evaluated_worlds[i];
         ++result.evaluations;
       }

@@ -22,7 +22,6 @@
 
 #include "src/core/absorption.h"       // IWYU pragma: export
 #include "src/core/adaptive_sampling.h"  // IWYU pragma: export
-#include "src/core/all_worlds.h"       // IWYU pragma: export
 #include "src/core/bounds.h"           // IWYU pragma: export
 #include "src/core/brute_force.h"      // IWYU pragma: export
 #include "src/core/dominance.h"        // IWYU pragma: export

@@ -1,5 +1,7 @@
 #include "src/core/bounds.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "src/core/exact.h"
@@ -217,6 +219,11 @@ TEST(DecideThresholdTest, RejectsBadThreshold) {
   EXPECT_EQ(DecideThreshold(data, 0, model, -0.1).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(DecideThreshold(data, 0, model, 1.1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DecideThreshold(data, 0, model,
+                            std::numeric_limits<double>::quiet_NaN())
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
 }
 

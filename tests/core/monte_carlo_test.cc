@@ -42,6 +42,20 @@ TEST(HoeffdingTest, TinyEpsilonSaturatesInsteadOfOverflowing) {
   // fewer samples.
   EXPECT_LE(HoeffdingSampleSize(1e-6, 0.01), HoeffdingSampleSize(1e-9, 0.01));
   EXPECT_LE(HoeffdingSampleSize(1e-9, 0.01), HoeffdingSampleSize(1e-12, 0.01));
+  // The union-bound count over n objects saturates the same way.
+  EXPECT_EQ(AllWorldsSampleSize(1e-12, 0.01, 10), kMax);
+  EXPECT_LT(AllWorldsSampleSize(1e-6, 0.01, 10), kMax);
+}
+
+TEST(AllWorldsSampleSizeTest, GrowsWithObjectCount) {
+  EXPECT_GT(AllWorldsSampleSize(0.01, 0.01, 100),
+            AllWorldsSampleSize(0.01, 0.01, 10));
+  // One object needs exactly the marginal Hoeffding count.
+  EXPECT_EQ(AllWorldsSampleSize(0.01, 0.01, 1),
+            HoeffdingSampleSize(0.01, 0.01));
+  EXPECT_EQ(AllWorldsSampleSize(0.0, 0.01, 10), 0u);
+  EXPECT_EQ(AllWorldsSampleSize(0.01, 0.0, 10), 0u);
+  EXPECT_EQ(AllWorldsSampleSize(0.01, 0.01, 0), 0u);
 }
 
 TEST(MonteCarloTest, ConvergesToFigure1Truth) {

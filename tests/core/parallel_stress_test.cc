@@ -4,14 +4,16 @@
 #include <gtest/gtest.h>
 
 #include "src/core/parallel.h"
+#include "src/core/sam_bitslice.h"
 #include "test_util.h"
 
 // ThreadSanitizer-targeted determinism tests: the documented contract is
-// that every Parallel* solver seeds its PRNG from the CHUNK index, never
-// the executing thread, so results are bit-identical for any thread
-// count including the 0-thread inline pool. A data race in the chunk
-// fan-out would show up either as a TSan report or as a determinism
-// violation here. Run under the `tsan` preset via ctest -L concurrency.
+// that every parallel solver fixes its work split (and seeds each
+// sampling block's PRNG from the BLOCK index) independently of the
+// executing thread, so results are bit-identical for any thread count
+// including the 0-thread inline pool. A data race in the fan-out would
+// show up either as a TSan report or as a determinism violation here.
+// Run under the `tsan` preset via ctest -L concurrency.
 
 namespace skypref {
 namespace {
@@ -26,15 +28,17 @@ TEST(ParallelDeterminismStressTest, MonteCarloThreadCountSweep) {
   options.samples = 4000;
   options.seed = 99;
 
+  options.block_size = 512;  // eight blocks
+
   ThreadPool reference_pool(0);
-  auto reference = ParallelMonteCarloSkylineProbability(
+  auto reference = BitSlicedMonteCarloSkylineProbability(
       data, 0, model, reference_pool, options);
   ASSERT_TRUE(reference.ok());
 
   for (std::size_t threads : {1u, 2u, 3u, 5u, 8u}) {
     ThreadPool pool(threads);
     auto run =
-        ParallelMonteCarloSkylineProbability(data, 0, model, pool, options);
+        BitSlicedMonteCarloSkylineProbability(data, 0, model, pool, options);
     ASSERT_TRUE(run.ok()) << "threads=" << threads;
     EXPECT_EQ(run->skyline_worlds, reference->skyline_worlds)
         << "threads=" << threads;
@@ -52,13 +56,14 @@ TEST(ParallelDeterminismStressTest, MonteCarloRepeatedRunsOnOnePool) {
   MonteCarloOptions options;
   options.samples = 2000;
   options.seed = 7;
+  options.block_size = 256;
   ThreadPool pool(4);
-  auto first = ParallelMonteCarloSkylineProbability(data, 1, model, pool,
-                                                    options);
+  auto first = BitSlicedMonteCarloSkylineProbability(data, 1, model, pool,
+                                                     options);
   ASSERT_TRUE(first.ok());
   for (int round = 0; round < 25; ++round) {
-    auto again = ParallelMonteCarloSkylineProbability(data, 1, model, pool,
-                                                      options);
+    auto again = BitSlicedMonteCarloSkylineProbability(data, 1, model, pool,
+                                                       options);
     ASSERT_TRUE(again.ok());
     ASSERT_EQ(again->skyline_worlds, first->skyline_worlds)
         << "round " << round;
@@ -146,23 +151,33 @@ TEST(ParallelDeterminismStressTest, BatchSolverThreadSweep) {
 }
 
 TEST(ParallelDeterminismStressTest, AllWorldsSweepAndSharedPoolReuse) {
+  // The bit-sliced batch (the engine of ProbabilisticSkyline/TopKSkyline):
+  // a thread sweep, then repeated runs on one pool, all bit-identical to
+  // the inline reference.
   Dataset data = RandomSmallDataset(53, 14, 2, 4);
   HashedPreferenceModel model(11, HashedPreferenceModel::Style::kTotalUniform);
-  AllWorldsOptions options;
-  options.samples = 3000;
-  options.seed = 21;
+  SolverOptions options;
+  options.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
+  options.monte_carlo.samples = 3000;
+  options.monte_carlo.seed = 21;
+  options.monte_carlo.block_size = 512;  // six blocks
 
   ThreadPool reference_pool(0);
-  auto reference = ParallelEstimateAllSkylineProbabilities(
-      data, model, reference_pool, options);
+  auto reference = BatchMonteCarloSkylineProbabilities(data, model,
+                                                       reference_pool, options);
   ASSERT_TRUE(reference.ok());
 
+  for (std::size_t threads : {1u, 2u, 3u, 8u}) {
+    ThreadPool pool(threads);
+    auto run = BatchMonteCarloSkylineProbabilities(data, model, pool, options);
+    ASSERT_TRUE(run.ok()) << "threads=" << threads;
+    ASSERT_EQ(run.value(), reference.value()) << "threads=" << threads;
+  }
   ThreadPool pool(4);
   for (int round = 0; round < 5; ++round) {
-    auto run =
-        ParallelEstimateAllSkylineProbabilities(data, model, pool, options);
+    auto run = BatchMonteCarloSkylineProbabilities(data, model, pool, options);
     ASSERT_TRUE(run.ok());
-    ASSERT_EQ(run->estimates, reference->estimates) << "round " << round;
+    ASSERT_EQ(run.value(), reference.value()) << "round " << round;
   }
 }
 

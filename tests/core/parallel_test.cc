@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/exact.h"
-#include "src/workload/block_zipf_generator.h"
 #include "test_util.h"
 
 namespace skypref {
@@ -155,93 +154,6 @@ TEST(ParallelExactTest, RecordsGroupSizesLongestFirstInputOrder) {
   EXPECT_EQ(total, stats.after_absorption);
 }
 
-TEST(ParallelMonteCarloTest, ThreadCountDoesNotChangeTheEstimate) {
-  Dataset data = RandomSmallDataset(43, 10, 2, 4);
-  TablePreferenceModel model;
-  MonteCarloOptions options;
-  options.samples = 20000;
-  options.seed = 17;
-  ThreadPool pool0(0), pool2(2), pool6(6);
-  auto a =
-      ParallelMonteCarloSkylineProbability(data, 0, model, pool0, options);
-  auto b =
-      ParallelMonteCarloSkylineProbability(data, 0, model, pool2, options);
-  auto c =
-      ParallelMonteCarloSkylineProbability(data, 0, model, pool6, options);
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a->skyline_worlds, b->skyline_worlds);
-  EXPECT_EQ(a->skyline_worlds, c->skyline_worlds);
-  EXPECT_EQ(a->samples, 20000u);
-}
-
-TEST(ParallelMonteCarloTest, ConvergesToExact) {
-  Dataset data = Example1Dataset();
-  TablePreferenceModel model;
-  ThreadPool pool(4);
-  MonteCarloOptions options;
-  options.samples = 150000;
-  options.seed = 23;
-  auto result =
-      ParallelMonteCarloSkylineProbability(data, 0, model, pool, options);
-  ASSERT_TRUE(result.ok());
-  EXPECT_NEAR(result->estimate, 3.0 / 16.0, 0.01);
-}
-
-TEST(ParallelMonteCarloTest, ChunkCountIsPartOfTheContract) {
-  // Different chunk counts legitimately produce different (but equally
-  // valid) estimates; the same chunk count always reproduces.
-  Dataset data = Example1Dataset();
-  TablePreferenceModel model;
-  ThreadPool pool(3);
-  MonteCarloOptions options;
-  options.samples = 5000;
-  ParallelOptions chunks16;
-  chunks16.sample_chunks = 16;
-  auto a = ParallelMonteCarloSkylineProbability(data, 0, model, pool,
-                                                options, chunks16);
-  auto b = ParallelMonteCarloSkylineProbability(data, 0, model, pool,
-                                                options, chunks16);
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(a->skyline_worlds, b->skyline_worlds);
-  ParallelOptions bad;
-  bad.sample_chunks = 0;
-  EXPECT_EQ(ParallelMonteCarloSkylineProbability(data, 0, model, pool,
-                                                 options, bad)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(ParallelAllWorldsTest, ThreadCountInvariantAndAccurate) {
-  BlockZipfOptions gen;
-  gen.objects = 60;
-  gen.dimensions = 2;
-  gen.block_size = 6;
-  gen.values_per_block = 4;
-  gen.seed = 3;
-  Dataset data = GenerateBlockZipf(gen).value();
-  HashedPreferenceModel base(7, HashedPreferenceModel::Style::kTotalUniform);
-  BlockLocalPreferenceModel prefs(base, 4);
-
-  AllWorldsOptions options;
-  options.samples = 40000;
-  options.seed = 11;
-  ThreadPool pool0(0), pool4(4);
-  auto serial = ParallelEstimateAllSkylineProbabilities(data, prefs, pool0,
-                                                        options);
-  auto parallel = ParallelEstimateAllSkylineProbabilities(data, prefs, pool4,
-                                                          options);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(serial->estimates, parallel->estimates);
-
-  auto solver = SkylineSolver::Create(data, prefs).value();
-  for (ObjectId i = 0; i < data.size(); ++i) {
-    EXPECT_NEAR(parallel->estimates[i], solver.Exact(i).value(), 0.015)
-        << "object " << i;
-  }
-}
-
 TEST(ParallelExactTest, PreCancelledTokenCancelsAtEveryThreadCount) {
   // Cancellation is observed at deterministic work boundaries, so a
   // token cancelled before the solve starts yields Status::Cancelled —
@@ -260,88 +172,6 @@ TEST(ParallelExactTest, PreCancelledTokenCancelsAtEveryThreadCount) {
               StatusCode::kCancelled)
         << "threads " << threads;
   }
-}
-
-TEST(ParallelMonteCarloTest, SharedDeadlineTruncatesEveryChunk) {
-  Dataset data = RandomSmallDataset(31, 10, 2, 4);
-  TablePreferenceModel model;
-  ThreadPool pool(4);
-  MonteCarloOptions options;
-  options.samples = 8192;
-  options.deadline = Deadline::At(Deadline::Clock::now() -
-                                  std::chrono::seconds(1));
-  auto run = ParallelMonteCarloSkylineProbability(data, 0, model, pool,
-                                                  options);
-  ASSERT_TRUE(run.ok()) << run.status();
-  EXPECT_TRUE(run->truncated);
-  EXPECT_LT(run->samples, 8192u);
-  EXPECT_GT(run->samples, 0u);
-  EXPECT_EQ(run->requested_samples, 8192u);
-  EXPECT_GE(run->estimate, 0.0);
-  EXPECT_LE(run->estimate, 1.0);
-}
-
-TEST(ParallelMonteCarloTest, PreCancelledTokenCancels) {
-  Dataset data = RandomSmallDataset(31, 10, 2, 4);
-  TablePreferenceModel model;
-  ThreadPool pool(2);
-  CancelToken token;
-  token.RequestCancel();
-  MonteCarloOptions options;
-  options.samples = 1000;
-  options.cancel = &token;
-  EXPECT_EQ(ParallelMonteCarloSkylineProbability(data, 0, model, pool, options)
-                .status()
-                .code(),
-            StatusCode::kCancelled);
-}
-
-TEST(ParallelAllWorldsTest, PreCancelledTokenCancelsAtEveryThreadCount) {
-  Dataset data = Example1Dataset();
-  TablePreferenceModel model;
-  CancelToken token;
-  token.RequestCancel();
-  AllWorldsOptions options;
-  options.samples = 40000;
-  options.cancel = &token;
-  for (std::size_t threads : {0u, 1u, 4u}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(
-        ParallelEstimateAllSkylineProbabilities(data, model, pool, options)
-            .status()
-            .code(),
-        StatusCode::kCancelled)
-        << "threads " << threads;
-  }
-}
-
-TEST(ParallelAllWorldsTest, ExpiredDeadlineExhaustsEveryChunk) {
-  Dataset data = Example1Dataset();
-  TablePreferenceModel model;
-  ThreadPool pool(4);
-  AllWorldsOptions options;
-  options.samples = 40000;
-  options.deadline = Deadline::At(Deadline::Clock::now() -
-                                  std::chrono::seconds(1));
-  EXPECT_EQ(
-      ParallelEstimateAllSkylineProbabilities(data, model, pool, options)
-          .status()
-          .code(),
-      StatusCode::kResourceExhausted);
-}
-
-TEST(ParallelAllWorldsTest, RejectsInvalidInputs) {
-  Dataset data = Example1Dataset();
-  TablePreferenceModel model;
-  ThreadPool pool(2);
-  AllWorldsOptions zero;
-  zero.samples = 0;
-  zero.epsilon = 0.0;
-  EXPECT_EQ(
-      ParallelEstimateAllSkylineProbabilities(data, model, pool, zero)
-          .status()
-          .code(),
-      StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -458,5 +458,106 @@ TEST(AdaptiveBitSlicedTest, BatchesAreRoundedToWholeChunks) {
   EXPECT_LE(block_run->radius, options.epsilon);
 }
 
+// The single-target bit-sliced engine over a pool — the parallel Sam
+// entry point.
+
+TEST(ParallelMonteCarloTest, ThreadCountDoesNotChangeTheEstimate) {
+  Dataset data = RandomSmallDataset(43, 10, 2, 4);
+  TablePreferenceModel model;
+  MonteCarloOptions options;
+  options.samples = 20000;
+  options.seed = 17;
+  ThreadPool pool0(0), pool2(2), pool6(6);
+  auto a =
+      BitSlicedMonteCarloSkylineProbability(data, 0, model, pool0, options);
+  auto b =
+      BitSlicedMonteCarloSkylineProbability(data, 0, model, pool2, options);
+  auto c =
+      BitSlicedMonteCarloSkylineProbability(data, 0, model, pool6, options);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(c.ok());
+  EXPECT_EQ(a->skyline_worlds, b->skyline_worlds);
+  EXPECT_EQ(a->skyline_worlds, c->skyline_worlds);
+  EXPECT_EQ(a->samples, 20000u);
+}
+
+TEST(ParallelMonteCarloTest, ConvergesToExact) {
+  Dataset data = Example1Dataset();
+  TablePreferenceModel model;
+  ThreadPool pool(4);
+  MonteCarloOptions options;
+  options.samples = 150000;
+  options.seed = 23;
+  auto result =
+      BitSlicedMonteCarloSkylineProbability(data, 0, model, pool, options);
+  ASSERT_TRUE(result.ok());
+  EXPECT_NEAR(result->estimate, 3.0 / 16.0, 0.01);
+}
+
+TEST(ParallelMonteCarloTest, ChunkCountIsPartOfTheContract) {
+  // A block is block_size / 64 whole 64-world chunks. Different chunk
+  // counts legitimately produce different (but equally valid) estimates;
+  // the same count always reproduces, and a block that is not whole
+  // chunks is rejected.
+  Dataset data = Example1Dataset();
+  TablePreferenceModel model;
+  ThreadPool pool(3);
+  MonteCarloOptions options;
+  options.samples = 5000;
+  options.block_size = 16 * 64;
+  auto a = BitSlicedMonteCarloSkylineProbability(data, 0, model, pool,
+                                                 options);
+  auto b = BitSlicedMonteCarloSkylineProbability(data, 0, model, pool,
+                                                 options);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->skyline_worlds, b->skyline_worlds);
+  for (std::uint64_t bad : {0u, 100u}) {
+    options.block_size = bad;
+    EXPECT_EQ(BitSlicedMonteCarloSkylineProbability(data, 0, model, pool,
+                                                    options)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "block_size=" << bad;
+  }
+}
+
+TEST(ParallelMonteCarloTest, SharedDeadlineTruncatesEveryChunk) {
+  Dataset data = RandomSmallDataset(31, 10, 2, 4);
+  TablePreferenceModel model;
+  ThreadPool pool(4);
+  MonteCarloOptions options;
+  options.samples = 8192;
+  options.deadline = Deadline::At(Deadline::Clock::now() -
+                                  std::chrono::seconds(1));
+  auto run = BitSlicedMonteCarloSkylineProbability(data, 0, model, pool,
+                                                   options);
+  ASSERT_TRUE(run.ok()) << run.status();
+  EXPECT_TRUE(run->truncated);
+  EXPECT_LT(run->samples, 8192u);
+  EXPECT_GT(run->samples, 0u);
+  EXPECT_EQ(run->requested_samples, 8192u);
+  EXPECT_GE(run->estimate, 0.0);
+  EXPECT_LE(run->estimate, 1.0);
+}
+
+TEST(ParallelMonteCarloTest, PreCancelledTokenCancels) {
+  Dataset data = RandomSmallDataset(31, 10, 2, 4);
+  TablePreferenceModel model;
+  ThreadPool pool(2);
+  CancelToken token;
+  token.RequestCancel();
+  MonteCarloOptions options;
+  options.samples = 1000;
+  options.cancel = &token;
+  EXPECT_EQ(
+      BitSlicedMonteCarloSkylineProbability(data, 0, model, pool, options)
+          .status()
+          .code(),
+      StatusCode::kCancelled);
+}
+
 }  // namespace
 }  // namespace skypref

@@ -159,6 +159,23 @@ TEST(CliTest, SkylineThresholdQuery) {
   std::remove(path.c_str());
 }
 
+TEST(CliTest, SkylineRejectsNanThreshold) {
+  // atof("nan") is NaN; both methods must refuse it instead of printing
+  // an empty skyline.
+  std::string path = TempCsv();
+  ASSERT_EQ(RunCli("generate --kind=blockzipf --objects=30 --dims=2 "
+                   "--block-size=5 --values=4 --out=" + path)
+                .exit_code,
+            0);
+  for (const char* method : {"exact", "sample"}) {
+    CommandResult skyline =
+        RunCli("skyline --data=" + path + " --tau=nan --method=" + method +
+               " --samples=500");
+    EXPECT_NE(skyline.exit_code, 0) << method << ": " << skyline.output;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CliTest, MissingDataFileFailsGracefully) {
   CommandResult result =
       RunCli("solve --data=/nonexistent/nope.csv --target=0");

@@ -224,7 +224,7 @@ unsigned long Run(Sampler& s, unsigned long n) {
         self.assertEqual(self.checks("src/core/exact.cc"), [])
 
     def test_polling_outer_loop_exempts_inner(self):
-        self.write("src/core/all_worlds.cc", """\
+        self.write("src/core/monte_carlo.cc", """\
 struct Sampler { bool Survives(unsigned long i); void NextWorld(); };
 struct Status { bool ok(); };
 Status CheckStop();
@@ -240,7 +240,7 @@ unsigned long Run(Sampler& s, unsigned long n, unsigned long worlds) {
   return hits;
 }
 """)
-        self.assertEqual(self.checks("src/core/all_worlds.cc"), [])
+        self.assertEqual(self.checks("src/core/monte_carlo.cc"), [])
 
     def test_lambda_handed_to_polling_driver_is_exempt(self):
         self.write("src/core/sam_bitslice.cc", """\

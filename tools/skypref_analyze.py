@@ -81,7 +81,6 @@ ENGINE_FILES = {
     "src/core/sam_internal.h",
     "src/core/sam_internal.cc",
     "src/core/resilient.cc",
-    "src/core/all_worlds.cc",
 }
 
 # Calls that mark a loop as doing per-world / per-subset solve work.

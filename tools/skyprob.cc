@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/io/csv.h"
@@ -306,6 +307,21 @@ int RunInspect(const Args& args) {
   return 0;
 }
 
+// Options of the sampled all-objects queries (--method=sample): the
+// bit-sliced batch sampler, at the union-bound world count for
+// epsilon = 0.02 and delta = 0.05 unless --samples fixes it.
+SolverOptions SampledQueryOptions(const Args& args) {
+  SolverOptions options;
+  options.monte_carlo.engine = MonteCarloOptions::Engine::kBitSliced;
+  options.monte_carlo.epsilon = 0.02;
+  options.monte_carlo.delta = 0.05;
+  options.monte_carlo.seed =
+      static_cast<std::uint64_t>(IntFlagOr(args, "seed", 42));
+  options.monte_carlo.samples =
+      static_cast<std::uint64_t>(IntFlagOr(args, "samples", 0));
+  return options;
+}
+
 int RunSkyline(const Args& args) {
   LoadedInstance instance = LoadInstance(args);
   double tau = std::atof(FlagOr(args, "tau", "0.5").c_str());
@@ -318,12 +334,10 @@ int RunSkyline(const Args& args) {
     result.status().CheckOK();
     skyline = std::move(result).value();
   } else if (method == "sample") {
-    AllWorldsOptions options;
-    options.seed = static_cast<std::uint64_t>(IntFlagOr(args, "seed", 42));
-    options.samples =
-        static_cast<std::uint64_t>(IntFlagOr(args, "samples", 0));
+    ThreadPool pool(std::thread::hardware_concurrency());
     auto result = ProbabilisticSkyline(instance.loaded.dataset,
-                                       instance.prefs(), tau, options);
+                                       instance.prefs(), tau, pool,
+                                       SampledQueryOptions(args));
     result.status().CheckOK();
     skyline = std::move(result).value();
   } else {
@@ -355,12 +369,9 @@ int RunTopK(const Args& args) {
     return 0;
   }
   if (method == "sample") {
-    AllWorldsOptions options;
-    options.seed = static_cast<std::uint64_t>(IntFlagOr(args, "seed", 42));
-    options.samples =
-        static_cast<std::uint64_t>(IntFlagOr(args, "samples", 0));
-    auto result =
-        TopKSkyline(instance.loaded.dataset, instance.prefs(), k, options);
+    ThreadPool pool(std::thread::hardware_concurrency());
+    auto result = TopKSkyline(instance.loaded.dataset, instance.prefs(), k,
+                              pool, SampledQueryOptions(args));
     result.status().CheckOK();
     std::printf("top-%zu by skyline probability (fixed budget):\n", k);
     for (const auto& [id, estimate] : result.value()) {
