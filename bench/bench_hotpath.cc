@@ -16,7 +16,11 @@
 ///   4b. chaos_quiet — the same Det solve with every failpoint site
 ///                    armed on a never-firing schedule (cost of the
 ///                    armed-consult slow path; ~0 in release builds
-///                    where the sites compile out).
+///                    where the sites compile out);
+///   4c. plan       — per-target Det+ planning on Nursery-8, through one
+///                    whole-dataset ValuePostings (the index
+///                    SkylineSolver::Create builds) vs the free PlanTarget
+///                    that indexes per call, groups asserted identical.
 ///
 /// Every section cross-checks bit-identity so a perf number can never
 /// quietly come from a wrong answer. The binary is plain chrono + JSON —
@@ -59,8 +63,10 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/absorption.h"
 #include "src/core/exact.h"
 #include "src/core/monte_carlo.h"
+#include "src/core/oracles.h"
 #include "src/core/parallel.h"
 #include "src/core/sam_bitslice.h"
 #include "src/core/sam_parallel.h"
@@ -69,7 +75,9 @@
 #include "src/util/failpoint.h"
 #include "src/util/cancel.h"
 #include "src/util/check.h"
+#include "src/util/random.h"
 #include "src/workload/block_zipf_generator.h"
+#include "src/workload/nursery.h"
 #include "src/workload/uniform_generator.h"
 
 namespace skypref::bench {
@@ -395,6 +403,65 @@ std::string BenchChaosQuiet() {
        << "    \"failpoints_compiled_in\": "
        << (compiled_in ? "true" : "false") << ",\n"
        << "    \"bit_identical\": true\n"
+       << "  }";
+  return json.str();
+}
+
+/// Section 4c: per-target Det+ planning (null prune, absorption,
+/// partition) on the 12,960-object Nursery, over a seeded sample of
+/// targets: once through a whole-dataset ValuePostings built up front, as
+/// SkylineSolver::Create does, and once through the free PlanTarget that
+/// builds its own per call. The groups must match target for target.
+std::string BenchPlan() {
+  const NurseryVariant nursery = GenerateNursery().value();
+  const Dataset& data = nursery.dataset;
+  HashedPreferenceModel model(2013,
+                              HashedPreferenceModel::Style::kTotalUniform);
+  const NullPairTest null_test = NullPairTestOf(DoubleOracle(model));
+  const std::size_t count = FullScale() ? 1024 : 256;
+  std::vector<ObjectId> targets;
+  Rng rng(15);
+  for (std::size_t i = 0; i < count; ++i) {
+    targets.push_back(rng.NextBounded(data.size()));
+  }
+
+  const double index_seconds = TimeBest(3, [&] { ValuePostings built(data); });
+  const ValuePostings postings(data);
+  std::vector<std::vector<std::vector<ObjectId>>> indexed(count);
+  double indexed_seconds = TimeBest(3, [&] {
+    for (std::size_t i = 0; i < count; ++i) {
+      indexed[i] = PlanTarget(data, postings, targets[i], true, null_test);
+    }
+  });
+  std::vector<std::vector<std::vector<ObjectId>>> free_plans(count);
+  double free_seconds = TimeBest(3, [&] {
+    for (std::size_t i = 0; i < count; ++i) {
+      free_plans[i] = PlanTarget(data, targets[i], true, null_test);
+    }
+  });
+  SKYPREF_CHECK(indexed == free_plans);
+
+  std::size_t groups = 0;
+  for (const auto& plan : indexed) groups += plan.size();
+  const double ms_per = 1e3 / static_cast<double>(count);
+  std::ostringstream json;
+  json << "  \"plan\": {\n"
+       << "    \"objects\": " << data.size() << ",\n"
+       << "    \"dimensions\": " << data.dimensions() << ",\n"
+       << "    \"targets\": " << count << ",\n"
+       << "    \"groups_per_target\": "
+       << FormatDouble(static_cast<double>(groups) /
+                       static_cast<double>(count))
+       << ",\n"
+       << "    \"index_build_ms\": " << FormatDouble(index_seconds * 1e3)
+       << ",\n"
+       << "    \"indexed_ms_per_target\": "
+       << FormatDouble(indexed_seconds * ms_per) << ",\n"
+       << "    \"free_ms_per_target\": "
+       << FormatDouble(free_seconds * ms_per) << ",\n"
+       << "    \"speedup\": " << FormatDouble(free_seconds / indexed_seconds)
+       << ",\n"
+       << "    \"identical_groups\": true\n"
        << "  }";
   return json.str();
 }
@@ -751,7 +818,9 @@ int Main(int argc, char** argv) {
   std::fprintf(stderr, "bench_hotpath: resilience overhead...\n");
   json << BenchResilience() << ",\n";
   std::fprintf(stderr, "bench_hotpath: chaos armed-but-quiet overhead...\n");
-  json << BenchChaosQuiet() << "\n}\n";
+  json << BenchChaosQuiet() << ",\n";
+  std::fprintf(stderr, "bench_hotpath: per-target plan...\n");
+  json << BenchPlan() << "\n}\n";
 
   std::ofstream out(path);
   if (!out) {

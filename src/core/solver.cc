@@ -45,26 +45,29 @@ Result<MonteCarloResult> RunSamEngine(const Dataset& data, ObjectId target,
 }  // namespace
 
 std::vector<std::vector<ObjectId>> PlanTarget(const Dataset& data,
+                                              const ValuePostings& postings,
                                               ObjectId target, bool preprocess,
                                               const NullPairTest& null_test,
                                               SolveStats* stats) {
-  std::vector<ObjectId> candidates;
-  candidates.reserve(data.size() - 1);
-  for (ObjectId id = 0; id < data.size(); ++id) {
-    if (id != target) candidates.push_back(id);
-  }
   SolveStats local;
-  local.candidates = candidates.size();
+  local.candidates = data.size() - 1;
   std::vector<std::vector<ObjectId>> groups;
   if (preprocess) {
     AbsorptionStats filter;
-    candidates = FilterCandidates(data, target, candidates, null_test, &filter);
+    const std::vector<ObjectId> survivors =
+        FilterAllCandidatesIndexed(data, target, postings, null_test, &filter);
     local.pruned = filter.pruned;
-    groups = PartitionCandidates(data, target, candidates);
+    local.after_absorption = survivors.size();
+    groups = PartitionCandidates(data, target, survivors);
   } else {
-    groups.push_back(candidates);
+    std::vector<ObjectId> candidates;
+    candidates.reserve(data.size() - 1);
+    for (ObjectId id = 0; id < data.size(); ++id) {
+      if (id != target) candidates.push_back(id);
+    }
+    local.after_absorption = candidates.size();
+    groups.push_back(std::move(candidates));
   }
-  local.after_absorption = candidates.size();
   local.groups = groups.size();
   local.group_sizes.reserve(groups.size());
   for (const auto& group : groups) {
@@ -73,6 +76,17 @@ std::vector<std::vector<ObjectId>> PlanTarget(const Dataset& data,
   }
   if (stats != nullptr) *stats = std::move(local);
   return groups;
+}
+
+std::vector<std::vector<ObjectId>> PlanTarget(const Dataset& data,
+                                              ObjectId target, bool preprocess,
+                                              const NullPairTest& null_test,
+                                              SolveStats* stats) {
+  // Without preprocessing the plan reads no postings; skip the index.
+  const ValuePostings postings =
+      preprocess ? ValuePostings(data)
+                 : ValuePostings(data, std::span<const ObjectId>());
+  return PlanTarget(data, postings, target, preprocess, null_test, stats);
 }
 
 namespace internal {
@@ -145,8 +159,8 @@ Result<double> SkylineSolver::Exact(ObjectId target,
   DoubleOracle oracle(*model_);
   SolveStats local;
   std::vector<std::vector<ObjectId>> groups =
-      PlanTarget(*data_, target, options.preprocess, NullPairTestOf(oracle),
-                 &local);
+      PlanTarget(*data_, *postings_, target, options.preprocess,
+                 NullPairTestOf(oracle), &local);
   double result = 1.0;
   for (const auto& group : groups) {
     ExactStats exact_stats;
@@ -185,7 +199,7 @@ Result<double> SkylineSolver::MonteCarloImpl(ObjectId target,
   }
   SolveStats local;
   std::vector<std::vector<ObjectId>> groups =
-      PlanTarget(*data_, target, options.preprocess,
+      PlanTarget(*data_, *postings_, target, options.preprocess,
                  NullPairTestOf(DoubleOracle(*model_)), &local);
 
   if (!options.preprocess) {

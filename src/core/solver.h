@@ -19,6 +19,7 @@
 /// actually samples; singleton groups are computed exactly for free.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -72,19 +73,34 @@ struct SolveStats {
 /// The candidate groups of one per-target solve over every object of
 /// \p data but \p target. With \p preprocess (the "+" variants) this is
 /// the Det+/Sam+ preprocessing every per-target solver shares: the
-/// null-dominator prune under \p null_test, absorption (FilterCandidates)
-/// and partition (Theorem 4). Without it, one group holds every
-/// candidate. Fills the candidate and group fields of \p stats (may be
-/// null). Requires target < data.size().
+/// null-dominator prune under \p null_test, absorption
+/// (FilterAllCandidatesIndexed over \p postings, the whole-dataset
+/// ValuePostings of \p data) and partition (Theorem 4). Without it, one
+/// group holds every candidate. Fills the candidate and group fields of
+/// \p stats (may be null). Requires target < data.size().
+std::vector<std::vector<ObjectId>> PlanTarget(const Dataset& data,
+                                              const ValuePostings& postings,
+                                              ObjectId target, bool preprocess,
+                                              const NullPairTest& null_test,
+                                              SolveStats* stats = nullptr);
+
+/// PlanTarget over a ValuePostings(data) built for this one call; callers
+/// planning many targets of one dataset should build the postings once.
 std::vector<std::vector<ObjectId>> PlanTarget(const Dataset& data,
                                               ObjectId target, bool preprocess,
                                               const NullPairTest& null_test,
                                               SolveStats* stats = nullptr);
 
+/// Per-target Det / Det+ / Sam / Sam+ over one dataset and model. The
+/// solver owns the whole-dataset ValuePostings, built once by Create, so
+/// each solve's planning (PlanTarget) costs about the survivors it keeps
+/// rather than a fresh index over every candidate. Copies share the
+/// index; the const solves are safe to call concurrently.
 class SkylineSolver {
  public:
-  /// Validates the dataset (non-empty, no duplicate objects) and binds it
-  /// with the preference model. Both must outlive the solver.
+  /// Validates the dataset (non-empty, no duplicate objects), binds it
+  /// with the preference model and indexes the dataset's values. Both
+  /// must outlive the solver.
   static Result<SkylineSolver> Create(const Dataset& data,
                                       const PreferenceModel& model);
 
@@ -114,7 +130,9 @@ class SkylineSolver {
 
  private:
   SkylineSolver(const Dataset& data, const PreferenceModel& model)
-      : data_(&data), model_(&model) {}
+      : data_(&data),
+        model_(&model),
+        postings_(std::make_shared<const ValuePostings>(data)) {}
 
   /// Shared Sam body; \p pool is null for the poolless overload (the
   /// kBlock engine then runs inline).
@@ -123,6 +141,8 @@ class SkylineSolver {
 
   const Dataset* data_;
   const PreferenceModel* model_;
+  /// Of every object of *data_; immutable, so copies share it.
+  std::shared_ptr<const ValuePostings> postings_;
 };
 
 /// Diagnostics of one batch all-objects solve.

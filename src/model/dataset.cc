@@ -1,7 +1,9 @@
 #include "src/model/dataset.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <bit>
+#include <cstdint>
+#include <limits>
 
 #include "src/util/hash.h"
 
@@ -39,28 +41,24 @@ Status Dataset::Validate() const {
   if (rows_ == 0) {
     return Status::FailedPrecondition("dataset is empty");
   }
-  struct RowHash {
-    const Dataset* data;
-    std::size_t operator()(ObjectId row) const {
-      std::size_t h = 0x811c9dc5;
-      for (ValueId v : data->object(row)) h = HashCombine(h, v);
-      return h;
-    }
-  };
-  struct RowEq {
-    const Dataset* data;
-    bool operator()(ObjectId a, ObjectId b) const {
-      return data->SameObject(a, b);
-    }
-  };
-  std::unordered_set<ObjectId, RowHash, RowEq> seen(
-      rows_ * 2, RowHash{this}, RowEq{this});
+  // One flat open-addressing table of row indices (linear probing, at
+  // most half full), so the scan allocates once instead of once per row.
+  // Slots hold row + 1; 0 marks an empty slot.
+  if (rows_ >= std::numeric_limits<std::uint32_t>::max()) {
+    return Status::FailedPrecondition("dataset has more than 2^32 - 2 rows");
+  }
+  const std::size_t mask = std::bit_ceil(rows_ * 2) - 1;
+  std::vector<std::uint32_t> slots(mask + 1, 0);
   for (ObjectId row = 0; row < rows_; ++row) {
-    if (!seen.insert(row).second) {
-      return Status::FailedPrecondition(
-          "duplicate object at row " + std::to_string(row) +
-          " (the model assumes no duplicate objects)");
+    std::size_t slot = HashSpan(object(row)) & mask;
+    for (; slots[slot] != 0; slot = (slot + 1) & mask) {
+      if (SameObject(slots[slot] - 1, row)) {
+        return Status::FailedPrecondition(
+            "duplicate object at row " + std::to_string(row) +
+            " (the model assumes no duplicate objects)");
+      }
     }
+    slots[slot] = static_cast<std::uint32_t>(row + 1);
   }
   return Status::OK();
 }

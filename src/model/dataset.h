@@ -50,7 +50,9 @@ class Dataset {
   ValueId value_bound(DimensionId dim) const;
 
   /// Checks the paper's structural assumptions: at least one object and no
-  /// two identical objects. O(n d) expected via hashing.
+  /// two identical objects (the error names the later row of the first
+  /// duplicate pair). O(n d) expected via one flat hash table of row
+  /// indices; fails on more than 2^32 - 2 rows.
   Status Validate() const;
 
   /// True iff objects \p a and \p b have identical values everywhere.

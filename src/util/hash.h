@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <utility>
 
 namespace skypref {
@@ -28,6 +29,17 @@ inline std::size_t HashCombine(std::size_t seed, const T& value) {
   std::uint64_t h = static_cast<std::uint64_t>(std::hash<T>{}(value));
   return static_cast<std::size_t>(
       HashMix(static_cast<std::uint64_t>(seed) * 0x9e3779b97f4a7c15ULL + h));
+}
+
+/// Hash of a sequence of integers (a dataset row), fully mixed so that its
+/// low bits can index a power-of-two table.
+template <typename T>
+inline std::uint64_t HashSpan(std::span<const T> values) {
+  std::uint64_t h = 0x811c9dc5;
+  for (const T& value : values) {
+    h = (h ^ static_cast<std::uint64_t>(value)) * 0x9e3779b97f4a7c15ULL;
+  }
+  return HashMix(h);
 }
 
 /// Hash functor for std::pair keys in unordered containers.

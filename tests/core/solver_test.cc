@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
+#include "src/core/dominance.h"
+#include "src/util/random.h"
+#include "src/util/thread_pool.h"
+#include "src/workload/nursery.h"
 #include "test_util.h"
 
 namespace skypref {
@@ -182,6 +190,169 @@ TEST(SolverTest, SingleObjectDatasetIsAlwaysSkyline) {
   auto solver = SkylineSolver::Create(data, model).value();
   EXPECT_DOUBLE_EQ(solver.Exact(0).value(), 1.0);
   EXPECT_DOUBLE_EQ(solver.MonteCarlo(0).value(), 1.0);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectSameStats(const SolveStats& a, const SolveStats& b) {
+  EXPECT_EQ(a.candidates, b.candidates);
+  EXPECT_EQ(a.pruned, b.pruned);
+  EXPECT_EQ(a.after_absorption, b.after_absorption);
+  EXPECT_EQ(a.groups, b.groups);
+  EXPECT_EQ(a.largest_group, b.largest_group);
+  EXPECT_EQ(a.group_sizes, b.group_sizes);
+  EXPECT_EQ(a.subsets_visited, b.subsets_visited);
+  EXPECT_EQ(a.samples_drawn, b.samples_drawn);
+  EXPECT_EQ(a.pair_draws, b.pair_draws);
+}
+
+/// SkylineSolver::Exact (Det+) spelled out through the free functions:
+/// the PlanTarget overload that indexes the dataset per call, then one
+/// ExactSkylineProbability per group, multiplied in partition order.
+double ComposedExact(const Dataset& data, const PreferenceModel& model,
+                     ObjectId target, const SolverOptions& options,
+                     SolveStats* stats) {
+  DoubleOracle oracle(model);
+  const auto groups = PlanTarget(data, target, /*preprocess=*/true,
+                                 NullPairTestOf(oracle), stats);
+  double result = 1.0;
+  for (const auto& group : groups) {
+    ExactStats exact;
+    result *= ExactSkylineProbability(data, target, group, oracle,
+                                      options.exact, &exact)
+                  .value();
+    stats->subsets_visited += exact.subsets_visited;
+  }
+  return ClampProbability(result);
+}
+
+/// SkylineSolver::MonteCarlo (preprocessing on, a fixed sample count, the
+/// serial engine) spelled out the same way: singleton groups in closed
+/// form first, then the sampled groups on seeds forked in group order.
+double ComposedMonteCarlo(const Dataset& data, const PreferenceModel& model,
+                          ObjectId target, const SolverOptions& options,
+                          SolveStats* stats) {
+  const auto groups = PlanTarget(data, target, /*preprocess=*/true,
+                                 NullPairTestOf(DoubleOracle(model)), stats);
+  double result = 1.0;
+  for (const auto& group : groups) {
+    if (group.size() == 1) {
+      result *= 1.0 - DominanceProbability(data, group[0], target, model);
+    }
+  }
+  Rng seeder(options.monte_carlo.seed);
+  MonteCarloOptions per_group = options.monte_carlo;
+  for (const auto& group : groups) {
+    if (group.size() == 1) continue;
+    per_group.seed = seeder.Fork();
+    const MonteCarloResult mc =
+        MonteCarloSkylineProbability(data, target, group, model, per_group)
+            .value();
+    stats->samples_drawn += mc.samples;
+    stats->pair_draws += mc.pair_draws;
+    result *= mc.estimate;
+  }
+  return ClampProbability(result);
+}
+
+/// Checks \p solver's Det+ and Sam+, answers and SolveStats, bit for bit
+/// against the composed free functions on \p targets.
+void ExpectSolverMatchesComposition(const SkylineSolver& solver,
+                                    const std::vector<ObjectId>& targets) {
+  const Dataset& data = solver.data();
+  const PreferenceModel& model = solver.model();
+  SolverOptions sam;
+  sam.monte_carlo.samples = 512;
+  sam.monte_carlo.seed = 17;
+  for (ObjectId t : targets) {
+    SCOPED_TRACE(::testing::Message() << "target " << t);
+    SolveStats solved;
+    SolveStats composed;
+    const double value = solver.Exact(t, {}, &solved).value();
+    EXPECT_TRUE(SameBits(value, ComposedExact(data, model, t, {}, &composed)));
+    ExpectSameStats(solved, composed);
+    solved = composed = SolveStats();
+    const double estimate = solver.MonteCarlo(t, sam, &solved).value();
+    EXPECT_TRUE(SameBits(estimate,
+                         ComposedMonteCarlo(data, model, t, sam, &composed)));
+    ExpectSameStats(solved, composed);
+  }
+}
+
+std::vector<ObjectId> SampleTargets(std::size_t n, std::size_t count,
+                                    std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<ObjectId> targets;
+  for (std::size_t i = 0; i < count; ++i) targets.push_back(rng.NextBounded(n));
+  return targets;
+}
+
+TEST(SolverIndexTest, MatchesTheFreeCompositionOnNursery) {
+  for (std::size_t d : {4u, 8u}) {
+    SCOPED_TRACE(::testing::Message() << "d=" << d);
+    const NurseryVariant nursery = GenerateNurseryProjection(d).value();
+    HashedPreferenceModel model(2013,
+                                HashedPreferenceModel::Style::kTotalUniform);
+    const auto solver = SkylineSolver::Create(nursery.dataset, model).value();
+    ExpectSolverMatchesComposition(
+        solver, SampleTargets(nursery.dataset.size(), 12, 40 + d));
+  }
+}
+
+TEST(SolverIndexTest, MatchesTheFreeCompositionWithASparseValueId) {
+  // Value 3 of dimension 0 becomes 1,000,000: the index is sized by the
+  // largest id, and its lookups and null-prune walk must skip the gap.
+  const Dataset dense = RandomSmallDataset(61, 24, 3, 4);
+  Dataset data(3);
+  for (ObjectId i = 0; i < dense.size(); ++i) {
+    std::vector<ValueId> row(dense.object(i).begin(), dense.object(i).end());
+    if (row[0] == 3) row[0] = 1000000;
+    data.Append(row).CheckOK();
+  }
+  ASSERT_EQ(data.value_bound(0), 1000001u);
+  for (auto style : {HashedPreferenceModel::Style::kTotalUniform,
+                     HashedPreferenceModel::Style::kCertainOrder}) {
+    HashedPreferenceModel model(7, style);
+    const auto solver = SkylineSolver::Create(data, model).value();
+    ExpectSolverMatchesComposition(solver, SampleTargets(data.size(), 8, 61));
+  }
+}
+
+TEST(SolverIndexTest, CopiedAndMovedSolversAnswerIdentically) {
+  const NurseryVariant nursery = GenerateNurseryProjection(4).value();
+  HashedPreferenceModel model(2013,
+                              HashedPreferenceModel::Style::kTotalUniform);
+  auto original = SkylineSolver::Create(nursery.dataset, model).value();
+  std::vector<double> expected;
+  for (ObjectId t = 0; t < nursery.dataset.size(); ++t) {
+    expected.push_back(original.Exact(t).value());
+  }
+  const SkylineSolver copy = original;
+  const SkylineSolver moved = std::move(original);
+  for (ObjectId t = 0; t < nursery.dataset.size(); ++t) {
+    EXPECT_TRUE(SameBits(copy.Exact(t).value(), expected[t])) << t;
+    EXPECT_TRUE(SameBits(moved.Exact(t).value(), expected[t])) << t;
+  }
+}
+
+TEST(SolverIndexTest, ConcurrentExactCallsMatchSerial) {
+  const NurseryVariant nursery = GenerateNurseryProjection(5).value();
+  HashedPreferenceModel model(2013,
+                              HashedPreferenceModel::Style::kTotalUniform);
+  const auto solver = SkylineSolver::Create(nursery.dataset, model).value();
+  const std::size_t n = nursery.dataset.size();
+  std::vector<double> serial(n);
+  for (ObjectId t = 0; t < n; ++t) serial[t] = solver.Exact(t).value();
+  std::vector<double> concurrent(n, -1.0);
+  ThreadPool pool(4);
+  pool.ParallelFor(n, [&](std::size_t t) {
+    concurrent[t] = solver.Exact(t).value();
+  });
+  for (ObjectId t = 0; t < n; ++t) {
+    EXPECT_TRUE(SameBits(concurrent[t], serial[t])) << t;
+  }
 }
 
 }  // namespace

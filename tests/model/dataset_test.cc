@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "src/util/hash.h"
+
 namespace skypref {
 namespace {
 
@@ -82,6 +89,60 @@ TEST(DatasetTest, ValidateManyObjectsFastPath) {
     data.Append({i, i + 1, i + 2}).CheckOK();
   }
   EXPECT_TRUE(data.Validate().ok());
+}
+
+TEST(DatasetTest, ValidateNamesTheLaterDuplicateRow) {
+  Dataset data(2);
+  data.Append({5, 6}).CheckOK();
+  data.Append({7, 8}).CheckOK();
+  data.Append({1, 1}).CheckOK();
+  data.Append({7, 8}).CheckOK();  // repeats row 1
+  data.Append({5, 6}).CheckOK();  // repeats row 0, found later
+  const Status status = data.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(status.message(),
+            "duplicate object at row 3 (the model assumes no duplicate "
+            "objects)");
+}
+
+TEST(DatasetTest, ValidateFindsADuplicateFarApartInALargeDataset) {
+  constexpr ValueId kRows = 60000;
+  Dataset data(3);
+  for (ValueId i = 0; i < kRows; ++i) {
+    data.Append({i % 251, i / 251, i % 7}).CheckOK();
+  }
+  ASSERT_TRUE(data.Validate().ok());
+  data.Append({2 % 251, 2 / 251, 2 % 7}).CheckOK();  // repeats row 2
+  const Status status = data.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("row " + std::to_string(kRows) + " "),
+            std::string::npos)
+      << status.message();
+}
+
+TEST(DatasetTest, ValidateHandlesRowsCollidingOnOneHashBucket) {
+  // Rows whose hashes agree on their low 12 bits share one bucket of any
+  // table of up to 4096 slots, so the duplicate scan walks one long probe
+  // chain (wrapping around the table's end for some of them).
+  constexpr std::uint64_t kLowBits = (1u << 12) - 1;
+  std::vector<std::vector<ValueId>> colliding;
+  for (ValueId a = 0; colliding.size() < 200; ++a) {
+    for (ValueId b = 0; b < 64 && colliding.size() < 200; ++b) {
+      const std::vector<ValueId> row = {a, b};
+      if ((HashSpan(std::span<const ValueId>(row)) & kLowBits) ==
+          kLowBits) {
+        colliding.push_back(row);
+      }
+    }
+  }
+  Dataset data(2);
+  for (const auto& row : colliding) data.Append(row).CheckOK();
+  ASSERT_TRUE(data.Validate().ok());
+  data.Append(colliding[137]).CheckOK();
+  const Status status = data.Validate();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("row 200 "), std::string::npos)
+      << status.message();
 }
 
 }  // namespace
