@@ -1,13 +1,12 @@
 /// The canonical hot-path perf harness: emits BENCH_exact.json, the
 /// machine-readable perf trajectory of the exact engine.
 ///
-/// Four measurements, all at quick scale by default
-/// (SKYPREF_BENCH_SCALE=full enlarges them):
+/// The exact-engine measurements, all at quick scale by default
+/// (SKYPREF_BENCH_SCALE=full enlarges them; numbered as the section
+/// comments below):
 ///
 ///   1. flatten     — one Det solve, lookup engine vs flattened engine
 ///                    on identical inputs (subsets/sec and speedup);
-///   2. intra_group — one single-group Det+ solve across 1/2/4/8-thread
-///                    pools via ParallelExactEngine (scaling curve);
 ///   3. batch       — all-objects exact solve, per-target SkylineSolver
 ///                    loop vs BatchExactSkylineProbabilities;
 ///   4. resilience  — the same Det solve with and without an armed
@@ -163,60 +162,6 @@ std::string BenchFlatten() {
        << ",\n"
        << "    \"bit_identical\": true\n"
        << "  }";
-  return json.str();
-}
-
-/// Section 2: intra-group scaling. One independence group (every
-/// candidate shares dim-0 value 1 against the target's 0) forces the
-/// whole solve through ParallelExactEngine's subtree tasks.
-std::string BenchIntraGroup() {
-  const std::size_t group = FullScale() ? 24 : 20;
-  Dataset data(2);
-  data.Append({0, 0}).CheckOK();
-  for (std::size_t i = 0; i < group; ++i) {
-    data.Append({1, static_cast<ValueId>(i + 1)}).CheckOK();
-  }
-  HashedPreferenceModel model(2013,
-                              HashedPreferenceModel::Style::kTotalUniform);
-
-  std::ostringstream json;
-  json << "  \"intra_group_scaling\": {\n"
-       << "    \"group_size\": " << group << ",\n";
-  double base_seconds = 0.0;
-  double reference = -1.0;
-  bool bit_identical = true;
-  std::uint64_t subsets = 0;
-  json << "    \"threads\": [\n";
-  const std::vector<std::size_t> thread_counts = {1, 2, 4, 8};
-  for (std::size_t t = 0; t < thread_counts.size(); ++t) {
-    ThreadPool pool(thread_counts[t]);
-    double value = 0.0;
-    SolveStats stats;
-    double seconds = TimeBest(2, [&] {
-      value = ParallelExactSkylineProbability(data, 0, model, pool, {}, {},
-                                              &stats)
-                  .value();
-    });
-    subsets = stats.subsets_visited;
-    if (reference < 0.0) {
-      reference = value;
-      base_seconds = seconds;
-    } else if (value != reference) {
-      bit_identical = false;
-    }
-    json << "      {\"threads\": " << thread_counts[t]
-         << ", \"seconds\": " << FormatDouble(seconds)
-         << ", \"subsets_per_sec\": "
-         << FormatDouble(static_cast<double>(subsets) / seconds)
-         << ", \"speedup_vs_1\": " << FormatDouble(base_seconds / seconds)
-         << "}" << (t + 1 < thread_counts.size() ? "," : "") << "\n";
-  }
-  json << "    ],\n"
-       << "    \"subsets\": " << subsets << ",\n"
-       << "    \"bit_identical_across_threads\": "
-       << (bit_identical ? "true" : "false") << "\n"
-       << "  }";
-  SKYPREF_CHECK(bit_identical);
   return json.str();
 }
 
@@ -811,8 +756,6 @@ int Main(int argc, char** argv) {
        << ",\n";
   std::fprintf(stderr, "bench_hotpath: flatten...\n");
   json << BenchFlatten() << ",\n";
-  std::fprintf(stderr, "bench_hotpath: intra-group scaling...\n");
-  json << BenchIntraGroup() << ",\n";
   std::fprintf(stderr, "bench_hotpath: batch all-objects...\n");
   json << BenchBatch() << ",\n";
   std::fprintf(stderr, "bench_hotpath: resilience overhead...\n");

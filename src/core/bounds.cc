@@ -223,27 +223,14 @@ Result<bool> DecideThreshold(const Dataset& data, ObjectId target,
     if (bounds.exact) return bounds.lower >= tau;
   }
 
-  // Bounds inconclusive: exact fallback, group by group. The lineage
-  // engine goes first — on dense groups (many shared values) it finishes
-  // where the 2^n subset walk cannot; groups it rejects (> 64 candidates
-  // or state blow-up) fall through to the subset DFS.
+  // Bounds inconclusive: the exact Det+ fallback, each group through the
+  // engine choice (the lineage DP for dense groups of 13..64 candidates).
   if (used_exact_fallback != nullptr) *used_exact_fallback = true;
-  DoubleOracle oracle(model);
-  double exact = 1.0;
-  for (const auto& group : groups) {
-    auto lineage = LineageExactSkylineProbability(data, target, group, model);
-    if (lineage.ok()) {
-      exact *= lineage.value();
-      continue;
-    }
-    if (lineage.status().code() != StatusCode::kResourceExhausted) {
-      return lineage.status();
-    }
-    SKYPREF_ASSIGN_OR_RETURN(
-        double group_prob,
-        ExactSkylineProbability(data, target, group, oracle));
-    exact *= group_prob;
-  }
+  SKYPREF_ASSIGN_OR_RETURN(
+      double exact,
+      internal::SolveExactGroups(data, target, groups, DoubleOracle(model),
+                                 ExactOptions{}, /*preprocess=*/true,
+                                 nullptr));
   return exact >= tau;
 }
 

@@ -110,6 +110,16 @@ struct ExactOptions {
 /// Statistics of one exact computation, for benches and tests.
 struct ExactStats {
   std::uint64_t subsets_visited = 0;
+  /// Group solves the Det+ engine choice sent to the lineage DP
+  /// (src/core/lineage_dp.h), and the DP states they memoized.
+  std::uint64_t lineage_groups = 0;
+  std::uint64_t lineage_states = 0;
+
+  void Add(const ExactStats& other) {
+    subsets_visited += other.subsets_visited;
+    lineage_groups += other.lineage_groups;
+    lineage_states += other.lineage_states;
+  }
 };
 
 /// Computes sky(target) exactly, considering only the dominators listed in

@@ -108,11 +108,11 @@ struct MonteCarloOptions {
   };
   Engine engine = Engine::kSerial;
 
-  /// Worlds per block of the kBlock and kBitSliced engines. Like
-  /// ParallelOptions::exact_tasks this is part of the NUMERIC
-  /// contract: the estimate depends on (seed, block_size) but never on
-  /// the thread count. Must be >= 1 for the kBlock engine; the
-  /// bit-sliced engine additionally requires a multiple of 64.
+  /// Worlds per block of the kBlock and kBitSliced engines. This is
+  /// part of the NUMERIC contract: the estimate depends on (seed,
+  /// block_size) but never on the thread count. Must be >= 1 for the
+  /// kBlock engine; the bit-sliced engine additionally requires a
+  /// multiple of 64.
   std::uint64_t block_size = 1024;
 };
 

@@ -66,12 +66,10 @@ class RationalOracle {
 ///
 /// Compensated summation is NOT associative: splitting one sum into
 /// partial accumulators and folding them re-associates the compensation
-/// terms. Parallel reductions therefore (a) fix the split as a pure
-/// function of the instance — never of the thread count — and (b) fold
-/// the partial values in creation order (see ParallelExactEngine), so any
-/// thread count produces the identical bits. Rational accumulation is
-/// exact and associative; the same protocol then matches the serial sum
-/// exactly.
+/// terms. Parallel reductions therefore fix the split as a pure function
+/// of the instance — never of the thread count — and fold the partial
+/// values in a fixed order, so any thread count produces the identical
+/// bits. Rational accumulation is exact and associative.
 template <typename Num>
 class Accumulator {
  public:

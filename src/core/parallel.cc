@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <limits>
-#include <memory>
 #include <numeric>
 #include <optional>
 #include <span>
@@ -14,12 +12,12 @@
 
 #include "src/core/absorption.h"
 #include "src/core/exact.h"
+#include "src/core/lineage_dp.h"
 #include "src/core/partition.h"
 #include "src/util/cancel.h"
 #include "src/util/check.h"
 #include "src/util/failpoint.h"
 #include "src/util/hash.h"
-#include "src/util/try_alloc.h"
 
 namespace skypref {
 
@@ -42,8 +40,7 @@ std::vector<std::size_t> LongestFirstOrder(
 
 Result<double> ParallelExactSkylineProbability(
     const Dataset& data, ObjectId target, const PreferenceModel& model,
-    ThreadPool& pool, const ExactOptions& options,
-    const ParallelOptions& parallel, SolveStats* stats) {
+    ThreadPool& pool, const ExactOptions& options, SolveStats* stats) {
   SKYPREF_RETURN_IF_ERROR(data.Validate());
 #if defined(SKYPREF_ENABLE_DCHECKS) && SKYPREF_ENABLE_DCHECKS
   SKYPREF_RETURN_IF_ERROR(model.Validate(data));
@@ -65,66 +62,19 @@ Result<double> ParallelExactSkylineProbability(
   const std::size_t group_count = groups.size();
   std::vector<double> survival(group_count, 1.0);
   std::vector<Status> statuses(group_count);
-  std::vector<std::uint64_t> visited(group_count, 0);
-
-  // Groups big enough to dominate the query split into subtree tasks;
-  // the rest run serially, one work item per group. Everything goes into
-  // a single flat work list — ParallelFor must not nest — dispatched
-  // longest-first.
-  std::vector<internal::FlatInstance<DoubleOracle>> instances(group_count);
-  std::vector<std::unique_ptr<internal::ParallelExactEngine<DoubleOracle>>>
-      engines(group_count);
-  std::vector<std::function<void()>> work;
-  for (std::size_t g : LongestFirstOrder(groups)) {
-    const bool split = options.engine == ExactOptions::Engine::kFlat &&
-                       parallel.exact_tasks > 1 &&
-                       groups[g].size() >= parallel.min_split_candidates;
-    if (split) {
-      auto built = TryAlloc("alloc.exact.flat_instance", [&] {
-        return internal::BuildFlatInstance(
-            data, target, std::span<const ObjectId>(groups[g]), oracle);
-      });
-      if (!built.ok()) {
-        statuses[g] = built.status();
-        continue;
-      }
-      instances[g] = std::move(built).value();
-      engines[g] =
-          std::make_unique<internal::ParallelExactEngine<DoubleOracle>>(
-              instances[g], opts, parallel.exact_tasks);
-      if (engines[g]->BuildTasks()) {
-        for (std::size_t k = 0; k < engines[g]->task_count(); ++k) {
-          auto* engine = engines[g].get();
-          work.push_back([engine, k] { engine->RunTask(k); });
-        }
-      }
-    } else {
-      work.push_back([&, g] {
-        ExactStats exact_stats;
-        auto result = ExactSkylineProbability(
-            data, target, std::span<const ObjectId>(groups[g]), oracle, opts,
-            &exact_stats);
-        visited[g] = exact_stats.subsets_visited;
-        if (result.ok()) {
-          survival[g] = result.value();
-        } else {
-          statuses[g] = result.status();
-        }
-      });
-    }
-  }
-  pool.ParallelFor(work.size(), [&work](std::size_t i) { work[i](); });
-  for (std::size_t g = 0; g < group_count; ++g) {
-    if (engines[g] == nullptr) continue;
-    ExactStats exact_stats;
-    auto result = engines[g]->Reduce(&exact_stats);
-    visited[g] = exact_stats.subsets_visited;
+  std::vector<ExactStats> group_stats(group_count);
+  const std::vector<std::size_t> order = LongestFirstOrder(groups);
+  pool.ParallelFor(group_count, [&](std::size_t k) {
+    const std::size_t g = order[k];
+    auto result = internal::SolveExactGroup(
+        data, target, std::span<const ObjectId>(groups[g]), oracle, opts,
+        &group_stats[g]);
     if (result.ok()) {
       survival[g] = result.value();
     } else {
       statuses[g] = result.status();
     }
-  }
+  });
 
   // Survival factors multiply in partition order (Theorem 4); the first
   // failing group's status wins, also in partition order.
@@ -133,7 +83,7 @@ Result<double> ParallelExactSkylineProbability(
     SKYPREF_RETURN_IF_ERROR(statuses[g]);
     SKYPREF_DCHECK_PROB(survival[g]);
     product *= survival[g];
-    local.subsets_visited += visited[g];
+    local.Add(group_stats[g]);
   }
   if (stats != nullptr) *stats = local;
   SKYPREF_DCHECK_PROB(product);
@@ -177,9 +127,10 @@ class CachedDoubleOracle {
 };
 
 /// Whether a failed target is worth one re-dispatch. Deterministic
-/// failures are not: a blown subset budget or expired deadline fails
-/// identically on retry (the messages below are the exact engines' fixed
-/// strings, src/core/exact.h). Everything else ResourceExhausted —
+/// failures are not: a blown subset or DP-state budget or an expired
+/// deadline fails identically on retry (the messages below are the exact
+/// engines' fixed strings, src/core/exact.h and src/core/lineage_dp.cc).
+/// Everything else ResourceExhausted —
 /// allocation failure, injected scheduler faults — is transient: the
 /// memory pressure or fault window that killed the first dispatch has
 /// typically passed by the time the batch drains.
@@ -187,6 +138,7 @@ bool TransientFailure(const Status& status) {
   if (status.code() != StatusCode::kResourceExhausted) return false;
   const std::string& message = status.message();
   return message.find("subset budget") == std::string::npos &&
+         message.find("state budget") == std::string::npos &&
          message.find("time limit") == std::string::npos;
 }
 
@@ -271,7 +223,7 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
 
   CachedDoubleOracle cached(cache);
   std::vector<double> results(n, 1.0);
-  std::vector<std::uint64_t> visited(n, 0);
+  std::vector<ExactStats> target_stats(n);
   pool.ParallelFor(n, [&](std::size_t k) {
     const ObjectId t = order[k];
     // The batch-scheduler failpoint and the cancel poll sit at the
@@ -293,26 +245,13 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
       results[t] = std::numeric_limits<double>::quiet_NaN();
       return;
     }
-    double product = 1.0;
-    Status status;
-    for (const auto& group : plans[t].groups) {
-      ExactStats exact_stats;
-      auto result = ExactSkylineProbability(
-          data, t, std::span<const ObjectId>(group), cached, exact,
-          &exact_stats);
-      visited[t] += exact_stats.subsets_visited;
-      if (!result.ok()) {
-        status = result.status();
-        break;
-      }
-      SKYPREF_DCHECK_PROB(result.value());
-      product *= result.value();
-    }
-    if (status.ok()) {
-      SKYPREF_DCHECK_PROB(product);
-      results[t] = ClampProbability(product);
+    auto solved =
+        internal::SolveExactGroups(data, t, plans[t].groups, cached, exact,
+                                   options.preprocess, &target_stats[t]);
+    if (solved.ok()) {
+      results[t] = solved.value();
     } else {
-      statuses[t] = status;
+      statuses[t] = solved.status();
       results[t] = std::numeric_limits<double>::quiet_NaN();
     }
   });
@@ -349,28 +288,15 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
           continue;
         }
       }
-      double product = 1.0;
-      Status status;
-      for (const auto& group : plans[t].groups) {
-        ExactStats exact_stats;
-        auto result = ExactSkylineProbability(
-            data, t, std::span<const ObjectId>(group), oracle, exact,
-            &exact_stats);
-        visited[t] += exact_stats.subsets_visited;
-        if (!result.ok()) {
-          status = result.status();
-          break;
-        }
-        SKYPREF_DCHECK_PROB(result.value());
-        product *= result.value();
-      }
-      if (status.ok()) {
-        SKYPREF_DCHECK_PROB(product);
-        results[t] = ClampProbability(product);
+      auto solved =
+          internal::SolveExactGroups(data, t, plans[t].groups, oracle, exact,
+                                     options.preprocess, &target_stats[t]);
+      if (solved.ok()) {
+        results[t] = solved.value();
         statuses[t] = Status::OK();
         ++local.salvaged_targets;
       } else {
-        statuses[t] = status;
+        statuses[t] = solved.status();
       }
     }
   }
@@ -383,7 +309,7 @@ Result<std::vector<double>> BatchExactSkylineProbabilities(
   for (ObjectId t = 0; t < n; ++t) {
     if (statuses[t].code() == StatusCode::kCancelled) return statuses[t];
     if (!statuses[t].ok()) ++local.failed_targets;
-    local.subsets_visited += visited[t];
+    local.subsets_visited += target_stats[t].subsets_visited;
   }
   if (stats != nullptr) *stats = local;
   return results;

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/core/exact.h"
+#include "src/core/lineage_dp.h"
 #include "src/core/monte_carlo.h"
 #include "src/core/oracles.h"
 #include "src/core/sam_bitslice.h"
@@ -21,18 +22,19 @@ namespace {
 struct ExactAttempt {
   Status status;
   double value = 1.0;
-  std::uint64_t subsets_visited = 0;
+  ExactStats stats;
 };
 
-// Runs the exact engine on every group, longest-first over the pool.
-// Each attempt is an independent SERIAL solve, so per-group values (and
-// therefore the recombined product) are bit-identical to the sequential
-// SkylineSolver::Exact loop at every thread count.
+// Runs the exact engine on every group, longest-first over the pool —
+// Det+'s per-group engine choice when preprocessing, the subset DFS for
+// plain Det. Each attempt is an independent SERIAL solve, so per-group
+// values (and therefore the recombined product) are bit-identical to the
+// sequential SkylineSolver::Exact loop at every thread count.
 std::vector<ExactAttempt> RunExactRung(
     const Dataset& data, ObjectId target,
     const std::vector<std::vector<ObjectId>>& groups,
     const PreferenceModel& model, const ExactOptions& exact_options,
-    ThreadPool& pool) {
+    bool preprocess, ThreadPool& pool) {
   std::vector<ExactAttempt> attempts(groups.size());
   std::vector<std::size_t> order(groups.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -43,10 +45,13 @@ std::vector<ExactAttempt> RunExactRung(
   pool.ParallelFor(order.size(), [&](std::size_t slot) {
     std::size_t g = order[slot];
     DoubleOracle oracle(model);
-    ExactStats stats;
-    Result<double> result = ExactSkylineProbability(
-        data, target, groups[g], oracle, exact_options, &stats);
-    attempts[g].subsets_visited = stats.subsets_visited;
+    Result<double> result =
+        preprocess ? internal::SolveExactGroup(data, target, groups[g], oracle,
+                                               exact_options,
+                                               &attempts[g].stats)
+                   : ExactSkylineProbability(data, target, groups[g], oracle,
+                                             exact_options,
+                                             &attempts[g].stats);
     if (result.ok()) {
       attempts[g].value = *result;
     } else {
@@ -150,14 +155,15 @@ Result<ResilientResult> ResilientSkylineProbability(
   exact_options.deadline = deadline;
   exact_options.cancel = cancel;
   std::vector<ExactAttempt> attempts =
-      RunExactRung(data, target, groups, model, exact_options, pool);
+      RunExactRung(data, target, groups, model, exact_options,
+                   options.solver.preprocess, pool);
 
   // Cancellation and genuine errors (bad input) abort the ladder; only
   // ResourceExhausted is degradable. Scanned in partition order so the
   // reported error is deterministic.
   std::size_t exhausted = 0;
   for (const ExactAttempt& attempt : attempts) {
-    result.stats.subsets_visited += attempt.subsets_visited;
+    result.stats.Add(attempt.stats);
     if (attempt.status.ok()) continue;
     if (attempt.status.code() == StatusCode::kResourceExhausted) {
       ++exhausted;

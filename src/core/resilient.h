@@ -21,7 +21,9 @@
 ///
 /// Ladder per independence group, under ONE shared query deadline:
 ///
-///   rung 1  Det   — the exact engine with the caller's subset budget.
+///   rung 1  Det   — the exact engine with the caller's subset budget
+///                   (Det+'s per-group choice of subset DFS or lineage
+///                   DP when preprocessing).
 ///   rung 2  Sam   — for groups whose exact solve exhausted: Monte-Carlo
 ///                   with the (epsilon, delta) budget split evenly over
 ///                   the exhausted groups. A deadline-truncated sample

@@ -25,8 +25,8 @@
 ///     seed ^ block_index) and blocks fan out over the ThreadPool.
 ///     Counts reduce in block-index order, so the estimate is
 ///     bit-identical at 0/1/2/8 threads — the repo's established
-///     reduction contract, with block_size part of the numeric contract
-///     exactly like ParallelOptions::exact_tasks.
+///     reduction contract, with block_size part of the numeric
+///     contract.
 ///
 ///     Truncation contract: a deadline (or the "sampler.block"
 ///     failpoint) truncates to a deterministic BLOCK PREFIX. Let T be

@@ -4,6 +4,7 @@
 
 #include "src/core/absorption.h"
 #include "src/core/dominance.h"
+#include "src/core/lineage_dp.h"
 #include "src/core/partition.h"
 #include "src/core/sam_bitslice.h"
 #include "src/core/sam_parallel.h"
@@ -161,20 +162,14 @@ Result<double> SkylineSolver::Exact(ObjectId target,
   std::vector<std::vector<ObjectId>> groups =
       PlanTarget(*data_, *postings_, target, options.preprocess,
                  NullPairTestOf(oracle), &local);
-  double result = 1.0;
-  for (const auto& group : groups) {
-    ExactStats exact_stats;
-    SKYPREF_ASSIGN_OR_RETURN(
-        double group_prob,
-        ExactSkylineProbability(*data_, target, group, oracle, options.exact,
-                                &exact_stats));
-    local.subsets_visited += exact_stats.subsets_visited;
-    SKYPREF_DCHECK_PROB(group_prob);
-    result *= group_prob;
-  }
+  ExactStats exact_stats;
+  SKYPREF_ASSIGN_OR_RETURN(
+      double result,
+      internal::SolveExactGroups(*data_, target, groups, oracle, options.exact,
+                                 options.preprocess, &exact_stats));
+  local.Add(exact_stats);
   if (stats != nullptr) *stats = local;
-  SKYPREF_DCHECK_PROB(result);
-  return ClampProbability(result);
+  return result;
 }
 
 Result<double> SkylineSolver::MonteCarlo(ObjectId target,

@@ -66,8 +66,19 @@ struct SolveStats {
   /// longest-first scheduling diagnostics of the parallel solvers.
   std::vector<std::size_t> group_sizes;
   std::uint64_t subsets_visited = 0;  ///< exact solves
+  /// Exact solves: groups the Det+ engine choice sent to the lineage DP,
+  /// and the DP states they memoized (src/core/lineage_dp.h).
+  std::uint64_t lineage_groups = 0;
+  std::uint64_t lineage_states = 0;
   std::uint64_t samples_drawn = 0;    ///< Monte-Carlo solves
   std::uint64_t pair_draws = 0;       ///< Monte-Carlo solves
+
+  /// Folds one exact solve's counters in.
+  void Add(const ExactStats& exact) {
+    subsets_visited += exact.subsets_visited;
+    lineage_groups += exact.lineage_groups;
+    lineage_states += exact.lineage_states;
+  }
 };
 
 /// The candidate groups of one per-target solve over every object of

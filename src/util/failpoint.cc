@@ -22,7 +22,7 @@ namespace {
 /// entry per line — keep that shape) to reject unregistered literals.
 constexpr KnownSite kKnownSites[] = {
     {"exact.dfs", SiteClass::kExecution},
-    {"parallel.task", SiteClass::kExecution},
+    {"lineage.state", SiteClass::kExecution},
     {"sampler.world", SiteClass::kExecution},
     {"sampler.block", SiteClass::kExecution},
     {"batch.target", SiteClass::kExecution},

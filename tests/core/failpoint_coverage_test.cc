@@ -39,17 +39,16 @@ TEST(FailpointCoverageTest, EveryRegisteredSiteIsConsultedBySomeWorkload) {
   // exact.dfs + alloc.exact.flat_instance: one flat-engine solve.
   ASSERT_TRUE(ExactSkylineProbability(data, 0, model).ok());
 
-  // parallel.task (+ threadpool.serial / threadpool.wait): the
-  // intra-group task engine engages only for a splittable group of
-  // >= 16 candidates dispatched onto live workers.
+  // lineage.state (+ threadpool.serial / threadpool.wait): Det+ runs
+  // the lineage DP only for a group of >= 13 candidates, here dispatched
+  // onto live workers.
   {
-    Dataset splittable(2);
-    splittable.Append({0, 0}).CheckOK();
+    Dataset dense(2);
+    dense.Append({0, 0}).CheckOK();
     for (std::size_t i = 0; i < 18; ++i) {
-      splittable.Append({1, static_cast<ValueId>(i + 1)}).CheckOK();
+      dense.Append({1, static_cast<ValueId>(i + 1)}).CheckOK();
     }
-    ASSERT_TRUE(
-        ParallelExactSkylineProbability(splittable, 0, model, pool).ok());
+    ASSERT_TRUE(ParallelExactSkylineProbability(dense, 0, model, pool).ok());
   }
 
   // batch.target + alloc.batch.partition: the batch solver with its

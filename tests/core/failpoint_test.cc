@@ -1,6 +1,6 @@
 /// Deterministic fault injection (src/util/failpoint.h): the facility
 /// itself, and every armed site forcing its engine down the intended
-/// degradation path — exact DFS, sampler loop, parallel task, batch
+/// degradation path — exact DFS, lineage DP, sampler loop, batch
 /// target dispatch (plus its retry salvage pass), allocation failure,
 /// delay and spurious-wake schedules, seeded chaos reproducibility, and
 /// the arm-under-fire atomicity contract. Site-driven tests skip in
@@ -119,8 +119,8 @@ TEST_F(FailpointTest, SamplerSiteTruncatesAtThePollBoundary) {
 
 TEST_F(FailpointTest, ParallelTaskSiteAbortsTheQueryAtEveryThreadCount) {
   SKYPREF_REQUIRE_FAILPOINTS();
-  // The "parallel.task" site lives in the intra-group task engine, which
-  // engages only for groups of >= min_split_candidates (16): one
+  // The "lineage.state" site lives in the lineage DP, which Det+ picks
+  // only for groups of >= kLineageMinCandidates (13) candidates: one
   // 18-candidate group connected through the shared dim-0 value.
   Dataset data(2);
   data.Append({0, 0}).CheckOK();
@@ -130,12 +130,14 @@ TEST_F(FailpointTest, ParallelTaskSiteAbortsTheQueryAtEveryThreadCount) {
   TablePreferenceModel model;
   for (std::size_t threads : {0u, 1u, 2u, 8u}) {
     ThreadPool pool(threads);
-    failpoint::ScopedFailpoint armed("parallel.task");
+    failpoint::ScopedFailpoint armed("lineage.state");
     auto run = ParallelExactSkylineProbability(data, 0, model, pool);
-    // Whichever task absorbs the hit, the query-level outcome is the
-    // same at every thread count.
+    // The group's solve absorbs the hit on whichever worker runs it; the
+    // query-level outcome is the same at every thread count.
     EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted)
         << "threads " << threads;
+    EXPECT_NE(run.status().message().find("lineage.state"),
+              std::string::npos);
   }
 }
 

@@ -1,16 +1,15 @@
-/// Randomized, seeded cross-validation of the Det hot-path rework.
+/// Randomized, seeded cross-validation of the Det hot path.
 ///
 /// For every seeded instance the rational oracle is the referee:
 ///
 ///   * flat and lookup DFS engines agree bit-exactly with
 ///     ExactSkylineProbabilityRational (rational instantiations) and
 ///     with each other in doubles;
-///   * ParallelExactEngine reproduces the serial rational sum EXACTLY
-///     (rational addition is associative, so the fixed-order reduction
-///     cannot drift) at every thread count;
-///   * ParallelExactSkylineProbability — forced onto the intra-group
-///     split path — is bit-identical across 0/1/2/8-thread pools and
-///     tracks the rational truth to 1e-12 in doubles;
+///   * the lineage DP on RationalOracle reproduces the rational subset
+///     DFS EXACTLY — the second referee — whichever thread solves it;
+///   * ParallelExactSkylineProbability is bit-identical across
+///     0/1/2/8-thread pools and tracks the rational truth to 1e-12 in
+///     doubles;
 ///   * subset-budget exhaustion is deterministic, and empty candidate
 ///     sets short-circuit to probability 1.
 
@@ -23,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/exact.h"
+#include "src/core/lineage_dp.h"
 #include "src/core/parallel.h"
 #include "src/core/solver.h"
 #include "src/model/preference_generator.h"
@@ -103,44 +103,52 @@ TEST_P(HotpathPropertyTest, EnginesMatchTheRationalReferee) {
 }
 
 TEST_P(HotpathPropertyTest, ParallelEngineIsExactInRationals) {
+  // The lineage DP over every other object (no preprocessing: groups of
+  // up to 8 candidates), solved for all targets at once over the pool.
   RationalOracle oracle(model_);
   ThreadPool inline_pool(0);
   ThreadPool pool2(2);
   ThreadPool pool8(8);
-  for (ObjectId target = 0; target < data_.size(); ++target) {
-    std::vector<ObjectId> candidates = Candidates(target);
-    Rational reference =
+  const std::size_t n = data_.size();
+  std::vector<Rational> reference(n);
+  for (ObjectId target = 0; target < n; ++target) {
+    reference[target] =
         ExactSkylineProbabilityRational(data_, target, model_, false).value();
-    internal::FlatInstance<RationalOracle> instance =
-        internal::BuildFlatInstance(
-            data_, target, std::span<const ObjectId>(candidates), oracle);
-    for (ThreadPool* pool : {&inline_pool, &pool2, &pool8}) {
-      internal::ParallelExactEngine<RationalOracle> engine(instance, {}, 5);
-      auto result = engine.Run(*pool);
-      ASSERT_TRUE(result.ok());
-      EXPECT_EQ(result.value(), reference)
-          << "target=" << target
-          << " threads=" << pool->thread_count();
+  }
+  for (ThreadPool* pool : {&inline_pool, &pool2, &pool8}) {
+    std::vector<Rational> lineage(n);
+    std::vector<Status> statuses(n);
+    pool->ParallelFor(n, [&](std::size_t target) {
+      std::vector<ObjectId> candidates = Candidates(target);
+      auto result = LineageExactSkylineProbability(
+          data_, static_cast<ObjectId>(target),
+          std::span<const ObjectId>(candidates), oracle);
+      if (result.ok()) {
+        lineage[target] = result.value();
+      } else {
+        statuses[target] = result.status();
+      }
+    });
+    for (ObjectId target = 0; target < n; ++target) {
+      ASSERT_TRUE(statuses[target].ok()) << statuses[target];
+      EXPECT_EQ(lineage[target], reference[target])
+          << "target=" << target << " threads=" << pool->thread_count();
     }
   }
 }
 
 TEST_P(HotpathPropertyTest, ParallelSolverThreadCountInvariance) {
-  ParallelOptions split;
-  split.exact_tasks = 5;
-  split.min_split_candidates = 2;  // force the intra-group engine
   ThreadPool pool0(0), pool1(1), pool2(2), pool8(8);
   for (ObjectId target = 0; target < data_.size(); ++target) {
     Rational reference =
         ExactSkylineProbabilityRational(data_, target, model_, true).value();
-    auto baseline = ParallelExactSkylineProbability(data_, target, model_,
-                                                    pool0, {}, split);
+    auto baseline =
+        ParallelExactSkylineProbability(data_, target, model_, pool0);
     ASSERT_TRUE(baseline.ok());
     EXPECT_NEAR(baseline.value(), reference.ToDouble(), 1e-12)
         << "target=" << target;
     for (ThreadPool* pool : {&pool1, &pool2, &pool8}) {
-      auto run = ParallelExactSkylineProbability(data_, target, model_, *pool,
-                                                 {}, split);
+      auto run = ParallelExactSkylineProbability(data_, target, model_, *pool);
       ASSERT_TRUE(run.ok());
       EXPECT_EQ(run.value(), baseline.value())
           << "target=" << target << " threads=" << pool->thread_count();
@@ -149,15 +157,12 @@ TEST_P(HotpathPropertyTest, ParallelSolverThreadCountInvariance) {
 }
 
 TEST_P(HotpathPropertyTest, BudgetExhaustionIsDeterministic) {
-  ParallelOptions split;
-  split.exact_tasks = 5;
-  split.min_split_candidates = 2;
   ThreadPool pool(4);
   ExactOptions tight;
   tight.max_subsets = 1;  // any group with >= 2 candidates needs >= 3
   SolveStats stats;
-  auto run = ParallelExactSkylineProbability(data_, 0, model_, pool, tight,
-                                             split, &stats);
+  auto run =
+      ParallelExactSkylineProbability(data_, 0, model_, pool, tight, &stats);
   bool has_multi_candidate_group = false;
   for (std::size_t size : stats.group_sizes) {
     if (size >= 2) has_multi_candidate_group = true;
@@ -166,14 +171,13 @@ TEST_P(HotpathPropertyTest, BudgetExhaustionIsDeterministic) {
     // Every surviving group was a singleton; re-running must succeed the
     // same way (stats only fill on success).
     EXPECT_FALSE(has_multi_candidate_group);
-    auto again = ParallelExactSkylineProbability(data_, 0, model_, pool,
-                                                 tight, split);
+    auto again =
+        ParallelExactSkylineProbability(data_, 0, model_, pool, tight);
     ASSERT_TRUE(again.ok());
     EXPECT_EQ(again.value(), run.value());
   } else {
     EXPECT_EQ(run.status().code(), StatusCode::kResourceExhausted);
-    EXPECT_EQ(ParallelExactSkylineProbability(data_, 0, model_, pool, tight,
-                                              split)
+    EXPECT_EQ(ParallelExactSkylineProbability(data_, 0, model_, pool, tight)
                   .status()
                   .code(),
               StatusCode::kResourceExhausted);
@@ -184,7 +188,7 @@ TEST_P(HotpathPropertyTest, GroupSizeStatsAreConsistent) {
   ThreadPool pool(2);
   SolveStats stats;
   auto run =
-      ParallelExactSkylineProbability(data_, 0, model_, pool, {}, {}, &stats);
+      ParallelExactSkylineProbability(data_, 0, model_, pool, {}, &stats);
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(stats.group_sizes.size(), stats.groups);
   std::size_t total = 0, largest = 0;
@@ -202,8 +206,7 @@ TEST(HotpathEdgeCaseTest, SingleObjectHasNoCandidates) {
   TablePreferenceModel model;
   ThreadPool pool(2);
   SolveStats stats;
-  auto run =
-      ParallelExactSkylineProbability(data, 0, model, pool, {}, {}, &stats);
+  auto run = ParallelExactSkylineProbability(data, 0, model, pool, {}, &stats);
   ASSERT_TRUE(run.ok());
   EXPECT_DOUBLE_EQ(run.value(), 1.0);
   EXPECT_EQ(stats.groups, 0u);
@@ -211,13 +214,14 @@ TEST(HotpathEdgeCaseTest, SingleObjectHasNoCandidates) {
 }
 
 TEST(HotpathEdgeCaseTest, ParallelEngineHandlesEmptyInstance) {
-  internal::FlatInstance<DoubleOracle> empty;
-  empty.offsets.push_back(0);
-  ThreadPool pool(2);
-  internal::ParallelExactEngine<DoubleOracle> engine(empty, {}, 8);
-  auto result = engine.Run(pool);
+  // A group with no candidates: no variables, nothing alive, survival 1.
+  const std::vector<std::uint32_t> offsets = {0};
+  internal::LineageOrder order =
+      internal::OrderLineageVariables({}, offsets, 0);
+  EXPECT_EQ(order.state_bound, 0u);
+  auto result = internal::SolveLineage<double>(order, {}, {}, {}, nullptr);
   ASSERT_TRUE(result.ok());
-  EXPECT_DOUBLE_EQ(result.value(), 1.0);  // only the k = 0 term
+  EXPECT_DOUBLE_EQ(result.value(), 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(

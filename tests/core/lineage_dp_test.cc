@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <chrono>
+#include <cstdint>
+
 #include "src/core/exact.h"
+#include "src/core/parallel.h"
 #include "src/core/solver.h"
+#include "src/model/preference_generator.h"
+#include "src/util/thread_pool.h"
+#include "src/workload/block_zipf_generator.h"
 #include "src/workload/uniform_generator.h"
 #include "test_util.h"
 
@@ -138,6 +146,237 @@ TEST(LineageDpTest, EmptyCandidateListIsOne) {
   std::vector<ObjectId> none;
   EXPECT_DOUBLE_EQ(
       LineageExactSkylineProbability(data, 0, none, model).value(), 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Second referee: the DP in exact rational arithmetic.
+// ---------------------------------------------------------------------------
+
+TEST(LineageDpTest, RationalLineageEqualsRationalSubsetDfs) {
+  // Random candidate sets of up to 14 candidates: the DP and the subset
+  // DFS compute the same rational number, whatever the variable order.
+  for (std::uint64_t seed = 2001; seed < 2013; ++seed) {
+    Dataset data = RandomSmallDataset(seed, 15, 3, 3);
+    RationalPreferenceModel model;
+    GenerateRationalSimplexPreferences(data, seed, 8, &model).CheckOK();
+    RationalOracle oracle(model);
+    for (ObjectId target = 0; target < 3; ++target) {
+      const std::vector<ObjectId> candidates = AllBut(data, target);
+      Rational lineage =
+          LineageExactSkylineProbability(data, target, candidates, oracle)
+              .value();
+      Rational subset_dfs =
+          ExactSkylineProbability(data, target, candidates, oracle).value();
+      EXPECT_EQ(lineage, subset_dfs) << "seed=" << seed << " target=" << target;
+    }
+  }
+}
+
+TEST(LineageDpTest, DoubleLineageTracksRationalLineageOnDenseGroups) {
+  // Uniform n = 22..30 (d = 5, 10 values): groups of 20+ candidates,
+  // where the rational subset DFS is hopeless but the rational DP is
+  // not. The production double DP stays within 1e-12 of it.
+  for (std::size_t n : {22u, 26u, 30u}) {
+    UniformOptions gen;
+    gen.objects = n;
+    gen.dimensions = 5;
+    gen.values_per_dimension = 10;
+    gen.seed = 300 + n;
+    Dataset data = GenerateUniform(gen).value();
+    RationalPreferenceModel model;
+    GenerateRationalPreferences(data, n, 8, &model).CheckOK();
+    for (ObjectId target = 0; target < 2; ++target) {
+      for (const auto& group :
+           PlanTarget(data, target, /*preprocess=*/true,
+                      NullPairTestOf(RationalOracle(model)))) {
+        if (group.size() < kLineageMinCandidates) continue;
+        Rational exact =
+            LineageExactSkylineProbability(data, target, group,
+                                           RationalOracle(model))
+                .value();
+        double fast = LineageExactSkylineProbability(data, target, group,
+                                                     DoubleOracle(model))
+                          .value();
+        EXPECT_NEAR(fast, exact.ToDouble(), 1e-12)
+            << "n=" << n << " target=" << target;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The Det+ engine choice.
+// ---------------------------------------------------------------------------
+
+TEST(LineageDpTest, BlockZipfDetPlusNeverReachesTheDp) {
+  // The bz1200 benchmark shape: blocks of 12 keep every group below
+  // kLineageMinCandidates, so every group stays on the subset DFS.
+  BlockZipfOptions gen;
+  gen.objects = 240;
+  gen.dimensions = 5;
+  gen.block_size = 12;
+  gen.values_per_block = 6;
+  gen.seed = 5;
+  Dataset data = GenerateBlockZipf(gen).value();
+  HashedPreferenceModel base(2013,
+                             HashedPreferenceModel::Style::kTotalUniform);
+  BlockLocalPreferenceModel model(base, gen.values_per_block);
+  auto solver = SkylineSolver::Create(data, model).value();
+  for (ObjectId target = 0; target < data.size(); ++target) {
+    SolveStats stats;
+    ASSERT_TRUE(solver.Exact(target, {}, &stats).ok());
+    EXPECT_EQ(stats.lineage_groups, 0u) << "target " << target;
+    EXPECT_EQ(stats.lineage_states, 0u) << "target " << target;
+    EXPECT_LT(stats.largest_group, kLineageMinCandidates);
+  }
+}
+
+TEST(LineageDpTest, UniformTwentyTwoAlwaysReachesTheDp) {
+  // The uni22 benchmark shape: d = 5, 10 values, n = 22, one large
+  // group per target that the DP solves in far fewer states than 2^m.
+  HashedPreferenceModel model(2013,
+                              HashedPreferenceModel::Style::kTotalUniform);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    UniformOptions gen;
+    gen.objects = 22;
+    gen.dimensions = 5;
+    gen.values_per_dimension = 10;
+    gen.seed = seed;
+    Dataset data = GenerateUniform(gen).value();
+    auto solver = SkylineSolver::Create(data, model).value();
+    SolverOptions plain;
+    plain.preprocess = false;
+    for (ObjectId target = 0; target < data.size(); ++target) {
+      SolveStats stats;
+      double dp = solver.Exact(target, {}, &stats).value();
+      EXPECT_GE(stats.lineage_groups, 1u) << "seed " << seed << " t " << target;
+      EXPECT_GT(stats.lineage_states, 0u);
+      EXPECT_LT(stats.lineage_states,
+                std::uint64_t{1} << stats.largest_group);
+      if (target < 3) {
+        EXPECT_NEAR(dp, solver.Exact(target, plain).value(), 1e-12);
+      }
+    }
+  }
+}
+
+TEST(LineageDpTest, PlainDetKeepsTheSubsetDfs) {
+  // preprocess = false is the paper's Det, verbatim: no DP, whatever the
+  // group size.
+  Dataset data = RandomSmallDataset(22, 18, 5, 10);
+  HashedPreferenceModel model(2013,
+                              HashedPreferenceModel::Style::kTotalUniform);
+  auto solver = SkylineSolver::Create(data, model).value();
+  SolverOptions plain;
+  plain.preprocess = false;
+  SolveStats stats;
+  ASSERT_TRUE(solver.Exact(0, plain, &stats).ok());
+  EXPECT_EQ(stats.lineage_groups, 0u);
+  EXPECT_EQ(stats.subsets_visited, (std::uint64_t{1} << 17) - 1);
+}
+
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+TEST(LineageDpTest, EnginesAgreeBitwiseAtEveryThreadCount) {
+  // Batch[i], SkylineSolver::Exact(i) and ParallelExact(i) run every
+  // group through the same engine choice, so the DP's bits match across
+  // entry points and thread counts.
+  UniformOptions gen;
+  gen.objects = 22;
+  gen.dimensions = 5;
+  gen.values_per_dimension = 10;
+  gen.seed = 11;
+  Dataset data = GenerateUniform(gen).value();
+  HashedPreferenceModel model(2013,
+                              HashedPreferenceModel::Style::kTotalUniform);
+  auto solver = SkylineSolver::Create(data, model).value();
+  const std::size_t n = data.size();
+  std::vector<double> serial(n);
+  for (ObjectId t = 0; t < n; ++t) serial[t] = solver.Exact(t).value();
+  for (std::size_t threads : {0u, 1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    auto batch = BatchExactSkylineProbabilities(data, model, pool).value();
+    for (ObjectId t = 0; t < n; ++t) {
+      const double parallel =
+          ParallelExactSkylineProbability(data, t, model, pool).value();
+      EXPECT_TRUE(SameBits(batch[t], serial[t]))
+          << "batch, threads " << threads << " target " << t;
+      EXPECT_TRUE(SameBits(parallel, serial[t]))
+          << "parallel, threads " << threads << " target " << t;
+    }
+  }
+}
+
+TEST(LineageDpTest, HonoursCancelDeadlineAndBudget) {
+  UniformOptions gen;
+  gen.objects = 22;
+  gen.dimensions = 5;
+  gen.values_per_dimension = 10;
+  gen.seed = 3;
+  Dataset data = GenerateUniform(gen).value();
+  HashedPreferenceModel model(2013,
+                              HashedPreferenceModel::Style::kTotalUniform);
+  const std::vector<ObjectId> group =
+      PlanTarget(data, 0, true, NullPairTestOf(DoubleOracle(model)))[0];
+  DoubleOracle oracle(model);
+  LineageDpStats stats;
+  ASSERT_TRUE(LineageExactSkylineProbability(data, 0, group, oracle, {}, {},
+                                             &stats)
+                  .ok());
+  ASSERT_GT(stats.states, 2u);
+
+  CancelToken token;
+  token.RequestCancel();
+  ExactOptions cancelled;
+  cancelled.cancel = &token;
+  EXPECT_EQ(LineageExactSkylineProbability(data, 0, group, oracle, cancelled)
+                .status()
+                .code(),
+            StatusCode::kCancelled);
+
+  ExactOptions expired;
+  expired.deadline = Deadline::At(std::chrono::steady_clock::now() -
+                                  std::chrono::seconds(1));
+  EXPECT_EQ(LineageExactSkylineProbability(data, 0, group, oracle, expired)
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
+
+  // One unit of max_subsets per memoized state: exactly the DP's states
+  // pass, one fewer does not.
+  ExactOptions exact_budget;
+  exact_budget.max_subsets = stats.states;
+  EXPECT_TRUE(
+      LineageExactSkylineProbability(data, 0, group, oracle, exact_budget)
+          .ok());
+  ExactOptions short_budget;
+  short_budget.max_subsets = stats.states - 1;
+  EXPECT_EQ(
+      LineageExactSkylineProbability(data, 0, group, oracle, short_budget)
+          .status()
+          .code(),
+      StatusCode::kResourceExhausted);
+}
+
+TEST(LineageDpTest, StateBoundIsAnUpperBound) {
+  // The order's 2^(open candidates) sum bounds the memoized states.
+  for (std::uint64_t seed = 40; seed < 48; ++seed) {
+    Dataset data = RandomSmallDataset(seed, 24, 4, 6);
+    TablePreferenceModel model;
+    DoubleOracle oracle(model);
+    const std::vector<ObjectId> candidates = AllBut(data, 0);
+    auto instance = internal::BuildFlatInstance(
+        data, 0, std::span<const ObjectId>(candidates), oracle);
+    internal::LineageOrder order = internal::OrderLineageVariables(
+        instance.pair_ids, instance.offsets, instance.pair_count());
+    LineageDpStats stats;
+    ASSERT_TRUE(LineageExactSkylineProbability(data, 0, candidates, oracle,
+                                               {}, {}, &stats)
+                    .ok());
+    EXPECT_LE(stats.states, order.state_bound) << "seed " << seed;
+  }
 }
 
 }  // namespace

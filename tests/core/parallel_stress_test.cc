@@ -87,44 +87,52 @@ TEST(ParallelDeterminismStressTest, ExactGroupFanOutMatchesInline) {
 }
 
 TEST(ParallelDeterminismStressTest, IntraGroupEngineThreadSweep) {
-  // One 18-candidate independence group: every candidate shares dim-0
-  // value 1 against the target's 0, so the solve runs on the subtree-
-  // splitting ParallelExactEngine. Under TSan this exercises the shared
-  // budget atomics and the abort flag; determinism-wise the result must
-  // be bit-identical for every thread count and every repetition.
-  Dataset data(2);
-  data.Append({0, 0}).CheckOK();
+  // One 18-candidate independence group (every candidate shares dim-0
+  // value 1 against the target's 0) next to the dense groups of a
+  // uniform n = 22 instance: both take the lineage DP, each group on
+  // whichever worker picks it up. Under TSan this exercises concurrent
+  // DP solves; determinism-wise the result must be bit-identical for
+  // every thread count and every repetition.
+  Dataset star(2);
+  star.Append({0, 0}).CheckOK();
   for (std::uint32_t i = 0; i < 18; ++i) {
-    data.Append({1, i + 1}).CheckOK();
+    star.Append({1, i + 1}).CheckOK();
   }
+  Dataset dense = RandomSmallDataset(22, 22, 5, 10);
   TablePreferenceModel model;
   ThreadPool inline_pool(0);
-  auto reference = ParallelExactSkylineProbability(data, 0, model,
-                                                   inline_pool);
-  ASSERT_TRUE(reference.ok());
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    ThreadPool pool(threads);
-    for (int round = 0; round < 3; ++round) {
-      auto run = ParallelExactSkylineProbability(data, 0, model, pool);
-      ASSERT_TRUE(run.ok()) << "threads=" << threads << " round=" << round;
-      ASSERT_EQ(run.value(), reference.value())
-          << "threads=" << threads << " round=" << round;
+  for (const Dataset* data : {&star, &dense}) {
+    SolveStats stats;
+    auto reference = ParallelExactSkylineProbability(*data, 0, model,
+                                                     inline_pool, {}, &stats);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_GE(stats.lineage_groups, 1u);
+    for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+      ThreadPool pool(threads);
+      for (int round = 0; round < 3; ++round) {
+        auto run = ParallelExactSkylineProbability(*data, 0, model, pool);
+        ASSERT_TRUE(run.ok()) << "threads=" << threads << " round=" << round;
+        ASSERT_EQ(run.value(), reference.value())
+            << "threads=" << threads << " round=" << round;
+      }
     }
   }
 }
 
 TEST(ParallelDeterminismStressTest, IntraGroupEngineBudgetRace) {
   // A budget that trips mid-solve: every thread count must agree that
-  // the solve fails (the total charged against max_subsets is the same
-  // full enumeration count regardless of interleaving).
-  Dataset data(2);
-  data.Append({0, 0}).CheckOK();
-  for (std::uint32_t i = 0; i < 18; ++i) {
-    data.Append({1, i + 1}).CheckOK();
-  }
+  // the solve fails (each DP state charges one unit, and the states a
+  // group memoizes do not depend on the schedule).
+  Dataset data = RandomSmallDataset(22, 22, 5, 10);
   TablePreferenceModel model;
+  ThreadPool inline_pool(0);
+  SolveStats stats;
+  ASSERT_TRUE(ParallelExactSkylineProbability(data, 0, model, inline_pool,
+                                              {}, &stats)
+                  .ok());
   ExactOptions tight;
-  tight.max_subsets = (1u << 17);  // half of the 2^18 - 1 subsets
+  tight.max_subsets = stats.lineage_states / 2;
+  ASSERT_GT(tight.max_subsets, 0u);
   for (std::size_t threads : {0u, 2u, 8u}) {
     ThreadPool pool(threads);
     EXPECT_EQ(ParallelExactSkylineProbability(data, 0, model, pool, tight)

@@ -55,8 +55,8 @@ TEST(ParallelExactTest, GroupBudgetErrorsPropagate) {
 
 // One independence group: every candidate shares dim-0 value 1 (vs the
 // target's 0) while staying distinct on dim 1, so absorption keeps all
-// of them and partition cannot split. Forces the intra-group engine once
-// the group passes min_split_candidates.
+// of them and partition cannot split. From kLineageMinCandidates on, the
+// group takes the lineage DP (about a thousand states at 18 candidates).
 Dataset SingleGroupDataset(std::size_t candidates) {
   Dataset data(2);
   data.Append({0, 0}).CheckOK();  // target
@@ -66,24 +66,34 @@ Dataset SingleGroupDataset(std::size_t candidates) {
   return data;
 }
 
+// Uniform n = 22, d = 5, 10 values per dimension (the paper's Figure 9
+// uniform shape): every target keeps one dense ~20-candidate group whose
+// DP memoizes a few thousand states.
+Dataset DenseUniformDataset() { return RandomSmallDataset(22, 22, 5, 10); }
+
 TEST(ParallelExactTest, IntraGroupSplitMatchesSerialEngine) {
+  // One 17-candidate group on the pool: the same engine choice, the same
+  // bits and the same counters as the serial solver, and the DFS's value
+  // up to summation order.
   Dataset data = SingleGroupDataset(17);
   TablePreferenceModel model;
   SolveStats stats;
   ThreadPool pool(4);
-  auto split = ParallelExactSkylineProbability(data, 0, model, pool, {}, {},
-                                               &stats);
-  ASSERT_TRUE(split.ok());
+  auto parallel = ParallelExactSkylineProbability(data, 0, model, pool, {},
+                                                  &stats);
+  ASSERT_TRUE(parallel.ok());
   EXPECT_EQ(stats.groups, 1u);
   EXPECT_EQ(stats.largest_group, 17u);
+  EXPECT_EQ(stats.lineage_groups, 1u);
   auto solver = SkylineSolver::Create(data, model).value();
   SolveStats serial_stats;
   double serial = solver.Exact(0, {}, &serial_stats).value();
-  // The task decomposition re-associates the compensated sum, so the
-  // split result may differ from the serial one in the last ulps — but
-  // never beyond summation tolerance.
-  EXPECT_NEAR(split.value(), serial, 1e-12);
+  EXPECT_EQ(parallel.value(), serial);
+  EXPECT_EQ(stats.lineage_states, serial_stats.lineage_states);
   EXPECT_EQ(stats.subsets_visited, serial_stats.subsets_visited);
+  SolverOptions plain;
+  plain.preprocess = false;
+  EXPECT_NEAR(parallel.value(), solver.Exact(0, plain).value(), 1e-12);
 }
 
 TEST(ParallelExactTest, IntraGroupSplitThreadCountInvariance) {
@@ -101,24 +111,43 @@ TEST(ParallelExactTest, IntraGroupSplitThreadCountInvariance) {
 }
 
 TEST(ParallelExactTest, TaskCountIsPartOfTheNumericContract) {
-  Dataset data = SingleGroupDataset(18);
-  TablePreferenceModel model;
+  // The engine choice replaced the task count as the numeric contract:
+  // a group's engine is a pure function of the group, so repeated solves
+  // on any pool return the same bits, and the DP's value differs from
+  // the subset DFS's only by floating-point association.
+  Dataset data = DenseUniformDataset();
+  HashedPreferenceModel model(2013,
+                              HashedPreferenceModel::Style::kTotalUniform);
+  auto solver = SkylineSolver::Create(data, model).value();
+  SolverOptions plain;
+  plain.preprocess = false;
   ThreadPool pool(3);
-  ParallelOptions tasks32;
-  tasks32.exact_tasks = 32;
-  auto a = ParallelExactSkylineProbability(data, 0, model, pool, {}, tasks32);
-  auto b = ParallelExactSkylineProbability(data, 0, model, pool, {}, tasks32);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value(), b.value());
+  for (ObjectId target = 0; target < 4; ++target) {
+    SolveStats stats;
+    auto a = ParallelExactSkylineProbability(data, target, model, pool, {},
+                                             &stats);
+    auto b = ParallelExactSkylineProbability(data, target, model, pool);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_GE(stats.lineage_groups, 1u) << "target " << target;
+    EXPECT_EQ(a.value(), b.value()) << "target " << target;
+    EXPECT_NEAR(a.value(), solver.Exact(target, plain).value(), 1e-12)
+        << "target " << target;
+  }
 }
 
 TEST(ParallelExactTest, SplitGroupBudgetErrorsPropagate) {
-  Dataset data = SingleGroupDataset(18);
-  TablePreferenceModel model;
+  // Each memoized DP state charges one unit of max_subsets.
+  Dataset data = DenseUniformDataset();
+  HashedPreferenceModel model(2013,
+                              HashedPreferenceModel::Style::kTotalUniform);
   ThreadPool pool(4);
+  SolveStats stats;
+  ASSERT_TRUE(
+      ParallelExactSkylineProbability(data, 0, model, pool, {}, &stats).ok());
+  ASSERT_GT(stats.lineage_states, 1000u);
   ExactOptions tight;
-  tight.max_subsets = 1000;  // the group enumerates 2^18 - 1 subsets
+  tight.max_subsets = 1000;
   EXPECT_EQ(ParallelExactSkylineProbability(data, 0, model, pool, tight)
                 .status()
                 .code(),
@@ -143,8 +172,7 @@ TEST(ParallelExactTest, RecordsGroupSizesLongestFirstInputOrder) {
   TablePreferenceModel model;
   ThreadPool pool(2);
   SolveStats stats;
-  auto run =
-      ParallelExactSkylineProbability(data, 0, model, pool, {}, {}, &stats);
+  auto run = ParallelExactSkylineProbability(data, 0, model, pool, {}, &stats);
   ASSERT_TRUE(run.ok());
   // group_sizes stays in partition order (the reduction order), whatever
   // order the scheduler dispatched the groups in.

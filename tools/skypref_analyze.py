@@ -73,6 +73,8 @@ ALLOW_RE = re.compile(r"skypref-analyze:\s*allow\(([a-z\-]+)\)")
 ENGINE_FILES = {
     "src/core/exact.h",
     "src/core/exact.cc",
+    "src/core/lineage_dp.h",
+    "src/core/lineage_dp.cc",
     "src/core/parallel.h",
     "src/core/parallel.cc",
     "src/core/monte_carlo.cc",
