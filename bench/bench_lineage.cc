@@ -3,7 +3,7 @@
 // them.
 //
 // Algorithm 1 is exponential in the CANDIDATE count; the lineage DP is
-// bounded by the reachable (variable, alive-set) states, which dense
+// bounded by the reachable (variable, alive-set) level entries, which dense
 // value sharing keeps small. On uniform 5-d data with 10 values per
 // dimension the variable count is at most 45 regardless of n, so the DP
 // computes exactly what Figure 9a declares hopeless beyond n ~ 25.
@@ -48,6 +48,7 @@ void BM_Lineage_Uniform(benchmark::State& state) {
   double elapsed_ms = 0.0;
   LineageDpStats stats;
   std::uint64_t total_states = 0;
+  std::uint64_t peak_level = 0;
   for (auto _ : state) {
     for (ObjectId target : targets) {
       auto start = std::chrono::steady_clock::now();
@@ -61,6 +62,7 @@ void BM_Lineage_Uniform(benchmark::State& state) {
         return;
       }
       total_states += stats.states;
+      peak_level = std::max(peak_level, stats.peak_level_entries);
       Keep(sky.value());
     }
   }
@@ -69,6 +71,7 @@ void BM_Lineage_Uniform(benchmark::State& state) {
   state.counters["dp_states_per_target"] =
       static_cast<double>(total_states) /
       static_cast<double>(targets.size());
+  state.counters["dp_peak_level_entries"] = static_cast<double>(peak_level);
 }
 
 void BM_SubsetDfs_Uniform(benchmark::State& state) {

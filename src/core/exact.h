@@ -111,7 +111,7 @@ struct ExactOptions {
 struct ExactStats {
   std::uint64_t subsets_visited = 0;
   /// Group solves the Det+ engine choice sent to the lineage DP
-  /// (src/core/lineage_dp.h), and the DP states they memoized.
+  /// (src/core/lineage_dp.h), and the DP level entries they created.
   std::uint64_t lineage_groups = 0;
   std::uint64_t lineage_states = 0;
 

@@ -1,7 +1,7 @@
 #include "src/core/lineage_dp.h"
 
+#include <algorithm>
 #include <bit>
-#include <limits>
 #include <string>
 
 #include "src/core/oracles.h"
@@ -83,129 +83,119 @@ LineageOrder OrderLineageVariables(std::span<const std::uint32_t> pair_ids,
 
 namespace {
 
-// States between two polls of the failpoint, cancel token and deadline.
+// Entries between two polls of the failpoint, cancel token and deadline.
 constexpr std::uint64_t kPollInterval = 1024;
 
-/// The memoized Shannon expansion over one LineageOrder. The memo is a
-/// flat open-addressing table keyed on (alive set, variable index).
+/// The forward level sweep (see the file comment). Successors merge
+/// through one open-addressing index of next-level positions, cleared
+/// per level through the list of slots it used.
 template <typename Num>
 class LineageEngine {
  public:
-  LineageEngine(const LineageOrder& order, std::span<const Num> pair_prob,
-                const ExactOptions& options, const LineageDpOptions& dp)
-      : masks_(order.masks),
-        options_(options),
+  LineageEngine(const ExactOptions& options, const LineageDpOptions& dp)
+      : options_(options),
         dp_(dp),
-        deadline_(ResolveDeadline(options)) {
-    const std::size_t steps = order.pairs.size();
-    prob_.reserve(steps);
-    complement_.reserve(steps);
-    for (std::uint32_t pair : order.pairs) {
-      prob_.push_back(pair_prob[pair]);
-      complement_.push_back(Num(1) - pair_prob[pair]);
-    }
-    // suffix_[i] = candidates with a requirement among steps i..end; an
-    // alive candidate outside it is fully satisfied.
-    suffix_.assign(steps + 1, 0);
-    for (std::size_t i = steps; i-- > 0;) {
-      suffix_[i] = suffix_[i + 1] | masks_[i];
-    }
-    slots_.resize(kInitialSlots);
-  }
+        deadline_(ResolveDeadline(options)),
+        slots_(256, kEmpty) {}
 
-  Result<Num> Run(std::uint64_t initial_alive, LineageDpStats* stats) {
-    status_ = Poll();
-    Num survival(0);
-    if (status_.ok()) survival = Solve(0, initial_alive);
-    if (stats != nullptr) {
-      stats->variables = masks_.size();
-      stats->states = used_;
-      stats->memo_hits = memo_hits_;
+  Result<Num> Run(const LineageOrder& order, std::span<const Num> pair_prob,
+                  LineageDpStats* stats, std::vector<std::uint64_t>* levels) {
+    const std::vector<std::uint64_t>& masks = order.masks;
+    // suffix[i] = candidates with a requirement among steps i..end; an
+    // alive candidate outside suffix[i + 1] is satisfied after step i.
+    std::vector<std::uint64_t> suffix(masks.size() + 1, 0);
+    for (std::size_t i = masks.size(); i-- > 0;) {
+      suffix[i] = suffix[i + 1] | masks[i];
     }
+    Num survival(order.alive == 0 ? 1 : 0);
+    if (order.alive != 0) {
+      alive_.push_back(order.alive);
+      mass_.push_back(Num(1));
+      charged_ = peak_ = 1;
+    }
+    status_ = Poll();
+    for (std::size_t i = 0; i < masks.size() && !alive_.empty(); ++i) {
+      if (levels != nullptr) levels->push_back(alive_.size());
+      const Num& p = pair_prob[order.pairs[i]];
+      const Num q = Num(1) - p;
+      const bool keep = Num(0) < p;
+      const bool kill = p < Num(1);
+      for (std::size_t k = 0; k < alive_.size() && status_.ok(); ++k) {
+        const std::uint64_t alive = alive_[k];
+        const Num& mass = mass_[k];
+        if ((alive & masks[i]) == 0) {  // the variable integrates to 1
+          Emit(alive, mass);
+          continue;
+        }
+        if (keep && (alive & ~suffix[i + 1]) == 0) Emit(alive, mass * p);
+        const std::uint64_t rest = alive & ~masks[i];
+        if (kill && rest != 0) Emit(rest, mass * q);
+        // No one can dominate anymore. Masses add in entry order, so the
+        // bits depend on the variable order alone (the contract shared by
+        // every exact path). skypref-analyze: allow(kahan-discipline)
+        if (kill && rest == 0) survival += mass * q;
+      }
+      if (!status_.ok()) break;
+      for (std::uint32_t slot : used_) slots_[slot] = kEmpty;
+      used_.clear();
+      peak_ = std::max<std::uint64_t>(peak_, next_alive_.size());
+      alive_.swap(next_alive_);
+      mass_.swap(next_mass_);
+      next_alive_.clear();
+      next_mass_.clear();
+    }
+    if (stats != nullptr) *stats = {masks.size(), charged_, merges_, peak_};
     if (!status_.ok()) return status_;
     return survival;
   }
 
  private:
-  struct Slot {
-    std::uint64_t alive = 0;
-    std::uint32_t index = kEmpty;
-    Num value{};
-  };
-  static constexpr std::uint32_t kEmpty =
-      std::numeric_limits<std::uint32_t>::max();
-  static constexpr std::size_t kInitialSlots = 256;
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
 
-  Num Solve(std::uint32_t index, std::uint64_t alive) {
-    // Some alive candidate has no pending requirement: fully satisfied,
-    // O is dominated on every world of this branch.
-    if ((alive & ~suffix_[index]) != 0) return Num(0);
-    // Nobody can dominate anymore; the remaining variables integrate to 1.
-    if (alive == 0) return Num(1);
-    // Variables no alive candidate requires integrate to 1 as well. Some
-    // later one touches an alive candidate, since alive is in suffix_.
-    while ((masks_[index] & alive) == 0) ++index;
-
-    const Slot& slot = slots_[Probe(alive, index)];
-    if (slot.index == index) {
-      ++memo_hits_;
-      return slot.value;
-    }
-    if (!ChargeState()) return Num(0);
-
-    const Num& p = prob_[index];
-    Num value(0);
-    if (Num(0) < p) value = p * Solve(index + 1, alive);
-    if (p < Num(1)) {
-      value = value +
-              complement_[index] * Solve(index + 1, alive & ~masks_[index]);
-    }
-    if (!status_.ok()) return Num(0);
-    Insert(alive, index, value);
-    return value;
-  }
-
-  // The slot holding (alive, index), or the empty slot ending its probe.
-  std::size_t Probe(std::uint64_t alive, std::uint32_t index) const {
+  // The slot holding alive's next-level position, or the empty slot
+  // ending its probe.
+  std::size_t Probe(std::uint64_t alive) const {
     const std::size_t mask = slots_.size() - 1;
-    std::size_t i = static_cast<std::size_t>(
-                        HashMix(alive ^ (std::uint64_t{index} *
-                                         0x9e3779b97f4a7c15ULL))) &
-                    mask;
-    while (slots_[i].index != kEmpty &&
-           (slots_[i].index != index || slots_[i].alive != alive)) {
-      i = (i + 1) & mask;
+    std::size_t slot = static_cast<std::size_t>(HashMix(alive)) & mask;
+    while (slots_[slot] != kEmpty && next_alive_[slots_[slot]] != alive) {
+      slot = (slot + 1) & mask;
     }
-    return i;
+    return slot;
   }
 
-  void Insert(std::uint64_t alive, std::uint32_t index, const Num& value) {
-    if (2 * (used_ + 1) > slots_.size()) Grow();
-    Slot& slot = slots_[Probe(alive, index)];
-    slot.alive = alive;
-    slot.index = index;
-    slot.value = value;
-    ++used_;
-  }
-
-  void Grow() {
-    std::vector<Slot> old(2 * slots_.size());
-    old.swap(slots_);
-    for (Slot& slot : old) {
-      if (slot.index == kEmpty) continue;
-      slots_[Probe(slot.alive, slot.index)] = std::move(slot);
+  // Adds mass to alive's next-level entry, creating (and charging) it on
+  // first sight; grows the index past half full.
+  void Emit(std::uint64_t alive, const Num& mass) {
+    const std::size_t slot = Probe(alive);
+    if (slots_[slot] != kEmpty) {
+      ++merges_;
+      next_mass_[slots_[slot]] += mass;
+      return;
+    }
+    if (!Charge()) return;
+    slots_[slot] = static_cast<std::uint32_t>(next_alive_.size());
+    used_.push_back(static_cast<std::uint32_t>(slot));
+    next_alive_.push_back(alive);
+    next_mass_.push_back(mass);
+    if (2 * next_alive_.size() <= slots_.size()) return;
+    slots_.assign(2 * slots_.size(), kEmpty);
+    used_.clear();
+    for (std::uint32_t e = 0; e < next_alive_.size(); ++e) {
+      used_.push_back(static_cast<std::uint32_t>(Probe(next_alive_[e])));
+      slots_[used_.back()] = e;
     }
   }
 
-  // Charges one memoized state against the budgets; polls the failpoint,
-  // the cancel token and the deadline every kPollInterval states.
-  bool ChargeState() {
+  // Charges one new entry against the budgets; polls every
+  // kPollInterval entries.
+  bool Charge() {
     ++charged_;
     if (charged_ % kPollInterval == 0) status_ = Poll();
-    if (status_.ok() && dp_.max_states != 0 && charged_ > dp_.max_states) {
+    if (status_.ok() && dp_.max_states != 0 &&
+        next_alive_.size() >= dp_.max_states) {
       status_ = Status::ResourceExhausted(
-          "lineage DP exceeded state budget of " +
-          std::to_string(dp_.max_states));
+          "lineage DP exceeded its level budget of " +
+          std::to_string(dp_.max_states) + " entries");
     }
     if (status_.ok() && options_.max_subsets != 0 &&
         charged_ > options_.max_subsets) {
@@ -225,18 +215,16 @@ class LineageEngine {
     return Status::OK();
   }
 
-  const std::vector<std::uint64_t>& masks_;
-  std::vector<Num> prob_;        // Pr(variable true) per step
-  std::vector<Num> complement_;  // 1 - prob_
-  std::vector<std::uint64_t> suffix_;
   const ExactOptions& options_;
   const LineageDpOptions& dp_;
   Deadline deadline_;
-
-  std::vector<Slot> slots_;  // size is a power of two, at most half full
-  std::uint64_t used_ = 0;
+  std::vector<std::uint64_t> alive_, next_alive_;  // the two live levels
+  std::vector<Num> mass_, next_mass_;
+  std::vector<std::uint32_t> slots_;  // power of two, at most half full
+  std::vector<std::uint32_t> used_;   // slots_ set during this level
   std::uint64_t charged_ = 0;
-  std::uint64_t memo_hits_ = 0;
+  std::uint64_t merges_ = 0;
+  std::uint64_t peak_ = 0;
   Status status_;
 };
 
@@ -246,21 +234,18 @@ template <typename Num>
 Result<Num> SolveLineage(const LineageOrder& order,
                          std::span<const Num> pair_prob,
                          const ExactOptions& options,
-                         const LineageDpOptions& dp, LineageDpStats* stats) {
-  LineageEngine<Num> engine(order, pair_prob, options, dp);
-  return engine.Run(order.alive, stats);
+                         const LineageDpOptions& dp, LineageDpStats* stats,
+                         std::vector<std::uint64_t>* levels) {
+  LineageEngine<Num> engine(options, dp);
+  return engine.Run(order, pair_prob, stats, levels);
 }
 
-template Result<double> SolveLineage<double>(const LineageOrder&,
-                                             std::span<const double>,
-                                             const ExactOptions&,
-                                             const LineageDpOptions&,
-                                             LineageDpStats*);
-template Result<Rational> SolveLineage<Rational>(const LineageOrder&,
-                                                 std::span<const Rational>,
-                                                 const ExactOptions&,
-                                                 const LineageDpOptions&,
-                                                 LineageDpStats*);
+template Result<double> SolveLineage<double>(
+    const LineageOrder&, std::span<const double>, const ExactOptions&,
+    const LineageDpOptions&, LineageDpStats*, std::vector<std::uint64_t>*);
+template Result<Rational> SolveLineage<Rational>(
+    const LineageOrder&, std::span<const Rational>, const ExactOptions&,
+    const LineageDpOptions&, LineageDpStats*, std::vector<std::uint64_t>*);
 
 }  // namespace internal
 
@@ -295,6 +280,8 @@ Result<double> LineageExactWithPreprocessing(const Dataset& data,
     combined.variables += group_stats.variables;
     combined.states += group_stats.states;
     combined.memo_hits += group_stats.memo_hits;
+    combined.peak_level_entries = std::max(combined.peak_level_entries,
+                                           group_stats.peak_level_entries);
   }
   if (stats != nullptr) *stats = combined;
   return product;

@@ -11,19 +11,21 @@
 /// (the pair ids of a FlatInstance), and each candidate is the
 /// conjunction of its differing dimensions' variables. Probabilistic-
 /// database lineage evaluation suggests the dual attack: branch on
-/// VARIABLES with memoization.
+/// VARIABLES, merging the branches that reach the same state.
 ///
-/// State: (next variable index, set of still-alive candidates). A
-/// candidate is alive iff every one of its requirements decided so far
-/// came out true; the alive set therefore captures the entire past.
-/// If an alive candidate has no requirement left among the remaining
-/// variables it is fully satisfied — O is dominated, the branch
-/// contributes 0. If no candidate is alive, the branch contributes 1.
-/// A variable that touches no alive candidate integrates to 1 and is
-/// skipped before the memo lookup. Memoizing on the state collapses the
-/// exponential tree wherever different prefixes reach the same survivor
-/// set, which on dense data (shared values everywhere) happens
-/// constantly.
+/// A candidate is alive iff every one of its requirements decided so far
+/// came out true; the alive set captures the entire past. The DP sweeps
+/// forward one variable at a time: level i holds the distinct alive sets
+/// reached after i variables, each with its probability mass. Step i
+/// carries an entry whose alive set misses the variable (it integrates to
+/// 1) and splits the others: mass * p keeps the alive set, mass * (1 - p)
+/// kills the variable's candidates; a branch of probability 0 is skipped.
+/// A successor with an alive candidate that has no requirement left is
+/// dropped (O is dominated there); one with no alive candidate adds to
+/// the survival sum. Equal successors merge, which collapses the tree
+/// wherever prefixes reach the same survivor set — on dense data
+/// constantly. Entries keep first-insertion order and masses add in that
+/// order, so the bits depend on the variable order alone; two levels live.
 ///
 /// Variable order: greedy min-frontier. A candidate is "open" while some
 /// of its requirements are decided and some still pending; only open
@@ -31,8 +33,9 @@
 /// ones are all alive, decided alive ones end the branch). Each step
 /// picks the variable that leaves the fewest open candidates (ties: the
 /// variable more candidates require, then first appearance). The same
-/// pass sums 2^(open candidates) over the steps — a true upper bound on
-/// the memoized states, in O(variables^2).
+/// pass sums 2^(open candidates) over the steps, in O(variables^2): level
+/// i holds at most 2^(open candidates at i) entries, so the sum bounds
+/// the entries of the whole sweep.
 ///
 /// Engine choice (internal::SolveExactGroup, used by every Det+ group
 /// solve): the subset DFS keeps groups under kLineageMinCandidates (13),
@@ -40,14 +43,14 @@
 /// kLookup reference engine and plain Det. A group of 13..64 candidates
 /// runs the DP when the predicted state bound is below the DFS's 2^m
 /// subsets. On the paper's uniform data (d=5, 10 values, n=22) every
-/// target's ~21-candidate group takes the DP, at ~5k states instead of
+/// target's ~21-candidate group takes the DP, at ~7k entries instead of
 /// 2M subsets; block-Zipf groups (<= 11 candidates) and Nursery's
 /// singletons never reach it. bench_lineage measures the crossover.
 ///
-/// The DP honours ExactOptions like the DFS: each memoized state charges
+/// The DP honours ExactOptions like the DFS: each new level entry charges
 /// one unit against max_subsets, and the failpoint ("lineage.state"),
 /// the cancel token and the deadline are consulted at the start of a
-/// solve and every 1,024 states.
+/// solve and every 1,024 entries.
 
 #include <cstddef>
 #include <cstdint>
@@ -66,23 +69,27 @@
 namespace skypref {
 
 struct LineageDpOptions {
-  /// Abort with ResourceExhausted beyond this many distinct DP states
-  /// (0 = unlimited): the memo's memory cap.
-  std::uint64_t max_states = std::uint64_t{1} << 26;
+  /// Abort with ResourceExhausted once one level would hold more entries
+  /// (0 = unlimited): the DP's memory cap; ExactOptions::max_subsets caps
+  /// the total work. In doubles an entry of the widest level costs at
+  /// most 88 B: alive set and mass (16 B) in both live levels, doubled for
+  /// vector growth (64 B); <= 4 index slots of 4 B (16 B); a used-slot
+  /// record, doubled for growth (8 B). The default keeps the live levels
+  /// within 256 MiB: 2^28 / 88 = 3,050,402 entries.
+  std::uint64_t max_states = (std::uint64_t{1} << 28) / 88;
 };
 
 struct LineageDpStats {
   std::size_t variables = 0;
-  std::uint64_t states = 0;      ///< distinct memoized states
-  std::uint64_t memo_hits = 0;
+  std::uint64_t states = 0;     ///< level entries created (charged)
+  std::uint64_t memo_hits = 0;  ///< successors merged into an entry
+  std::uint64_t peak_level_entries = 0;  ///< entries of the widest level
 };
 
-/// Groups with fewer candidates always run the subset DFS, whatever the
-/// predicted states. bench_lineage's crossover sweep (EXPERIMENTS.md)
-/// has the DP ahead from about 10 candidates on uniform and block-Zipf
-/// sets alike; 13 keeps every block-Zipf group of the paper's geometry
-/// (blocks of 12) on the DFS, with no engine-choice work beyond one size
-/// compare.
+/// Groups with fewer candidates always run the subset DFS. The DP leads
+/// from about 8 candidates in bench_lineage's crossover (EXPERIMENTS.md);
+/// 13 keeps every block-Zipf group of the paper's geometry (blocks of 12)
+/// on the DFS behind one size compare.
 inline constexpr std::size_t kLineageMinCandidates = 13;
 
 /// The DP's alive set is one 64-bit word.
@@ -124,7 +131,7 @@ struct LineageOrder {
   std::vector<std::uint64_t> masks;  ///< candidates requiring that pair
   std::uint64_t alive = 0;           ///< candidates with any requirement
   /// Sum over the steps of 2^(open candidates), saturating: an upper
-  /// bound on the states the DP memoizes.
+  /// bound on the entries the DP creates.
   std::uint64_t state_bound = 0;
 };
 
@@ -135,19 +142,21 @@ LineageOrder OrderLineageVariables(std::span<const std::uint32_t> pair_ids,
                                    std::size_t pair_count);
 
 /// Runs the DP over \p order; pair_prob[p] is Pr(v <= O.j) of pair id p.
-/// Instantiated for double and Rational.
+/// \p levels, when set, receives the entry count of every level the sweep
+/// steps from. Instantiated for double and Rational.
 template <typename Num>
 Result<Num> SolveLineage(const LineageOrder& order,
                          std::span<const Num> pair_prob,
                          const ExactOptions& options,
-                         const LineageDpOptions& dp, LineageDpStats* stats);
+                         const LineageDpOptions& dp, LineageDpStats* stats,
+                         std::vector<std::uint64_t>* levels = nullptr);
 
 extern template Result<double> SolveLineage<double>(
     const LineageOrder&, std::span<const double>, const ExactOptions&,
-    const LineageDpOptions&, LineageDpStats*);
+    const LineageDpOptions&, LineageDpStats*, std::vector<std::uint64_t>*);
 extern template Result<Rational> SolveLineage<Rational>(
     const LineageOrder&, std::span<const Rational>, const ExactOptions&,
-    const LineageDpOptions&, LineageDpStats*);
+    const LineageDpOptions&, LineageDpStats*, std::vector<std::uint64_t>*);
 
 /// Whether the DP's predicted states undercut the DFS's 2^m subsets.
 inline bool LineageIsCheaper(const LineageOrder& order,

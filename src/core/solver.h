@@ -67,7 +67,7 @@ struct SolveStats {
   std::vector<std::size_t> group_sizes;
   std::uint64_t subsets_visited = 0;  ///< exact solves
   /// Exact solves: groups the Det+ engine choice sent to the lineage DP,
-  /// and the DP states they memoized (src/core/lineage_dp.h).
+  /// and the DP level entries they created (src/core/lineage_dp.h).
   std::uint64_t lineage_groups = 0;
   std::uint64_t lineage_states = 0;
   std::uint64_t samples_drawn = 0;    ///< Monte-Carlo solves

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 
 #include "src/core/exact.h"
@@ -87,6 +89,10 @@ TEST(LineageDpTest, SolvesUniformFiftyWhereSubsetDfsCannot) {
   EXPECT_GE(exact, 0.0);
   EXPECT_LE(exact, 1.0);
   EXPECT_LE(stats.variables, 45u);
+  // Millions of entries, but only the two widest levels live at once.
+  EXPECT_GT(stats.peak_level_entries, 0u);
+  EXPECT_LT(8 * stats.peak_level_entries, stats.states);
+  EXPECT_LT(stats.peak_level_entries, LineageDpOptions{}.max_states);
 
   MonteCarloOptions mc;
   mc.samples = 200000;
@@ -172,10 +178,45 @@ TEST(LineageDpTest, RationalLineageEqualsRationalSubsetDfs) {
   }
 }
 
+TEST(LineageDpTest, RationalLineageHandlesCertainPairsExactly) {
+  // 14-candidate sets where some variables are certain (p = 1) or
+  // impossible (p = 0) next to uncertain ones: the sweep's skipped
+  // branches must leave the rational value equal to the subset DFS's.
+  bool saw_zero = false;
+  bool saw_one = false;
+  for (std::uint64_t seed = 2101; seed < 2107; ++seed) {
+    Dataset data = RandomSmallDataset(seed, 15, 3, 3);
+    RationalPreferenceModel model;
+    GenerateRationalSimplexPreferences(data, seed, 8, &model).CheckOK();
+    model.Set(0, 0, 1, Rational(1), Rational(0)).CheckOK();  // 0 < 1 surely
+    model.Set(1, 1, 2, Rational(0), Rational(1)).CheckOK();  // 2 < 1 surely
+    model.Set(2, 0, 2, Rational(0), Rational(0)).CheckOK();  // incomparable
+    RationalOracle oracle(model);
+    for (ObjectId target = 0; target < 3; ++target) {
+      const std::vector<ObjectId> candidates = AllBut(data, target);
+      auto instance = internal::BuildFlatInstance(
+          data, target, std::span<const ObjectId>(candidates), oracle);
+      for (const Rational& p : instance.pair_prob) {
+        saw_zero = saw_zero || p == Rational(0);
+        saw_one = saw_one || p == Rational(1);
+      }
+      Rational lineage =
+          LineageExactSkylineProbability(data, target, candidates, oracle)
+              .value();
+      Rational subset_dfs =
+          ExactSkylineProbability(data, target, candidates, oracle).value();
+      EXPECT_EQ(lineage, subset_dfs) << "seed=" << seed << " target=" << target;
+    }
+  }
+  EXPECT_TRUE(saw_zero);
+  EXPECT_TRUE(saw_one);
+}
+
 TEST(LineageDpTest, DoubleLineageTracksRationalLineageOnDenseGroups) {
   // Uniform n = 22..30 (d = 5, 10 values): groups of 20+ candidates,
   // where the rational subset DFS is hopeless but the rational DP is
-  // not. The production double DP stays within 1e-12 of it.
+  // not. The sweep only adds nonnegative terms, so nothing cancels: the
+  // production double DP stays within 1e-13 of it, relative.
   for (std::size_t n : {22u, 26u, 30u}) {
     UniformOptions gen;
     gen.objects = n;
@@ -197,7 +238,9 @@ TEST(LineageDpTest, DoubleLineageTracksRationalLineageOnDenseGroups) {
         double fast = LineageExactSkylineProbability(data, target, group,
                                                      DoubleOracle(model))
                           .value();
-        EXPECT_NEAR(fast, exact.ToDouble(), 1e-12)
+        const double reference = exact.ToDouble();
+        ASSERT_GT(reference, 0.0);
+        EXPECT_LE(std::fabs(fast - reference), 1e-13 * reference)
             << "n=" << n << " target=" << target;
       }
     }
@@ -344,7 +387,7 @@ TEST(LineageDpTest, HonoursCancelDeadlineAndBudget) {
                 .code(),
             StatusCode::kResourceExhausted);
 
-  // One unit of max_subsets per memoized state: exactly the DP's states
+  // One unit of max_subsets per level entry: exactly the DP's states
   // pass, one fewer does not.
   ExactOptions exact_budget;
   exact_budget.max_subsets = stats.states;
@@ -361,7 +404,7 @@ TEST(LineageDpTest, HonoursCancelDeadlineAndBudget) {
 }
 
 TEST(LineageDpTest, StateBoundIsAnUpperBound) {
-  // The order's 2^(open candidates) sum bounds the memoized states.
+  // The order's 2^(open candidates) sum bounds the entries created.
   for (std::uint64_t seed = 40; seed < 48; ++seed) {
     Dataset data = RandomSmallDataset(seed, 24, 4, 6);
     TablePreferenceModel model;
@@ -376,6 +419,78 @@ TEST(LineageDpTest, StateBoundIsAnUpperBound) {
                                                {}, {}, &stats)
                     .ok());
     EXPECT_LE(stats.states, order.state_bound) << "seed " << seed;
+  }
+}
+
+TEST(LineageDpTest, EveryLevelFitsItsFrontier) {
+  // Level i holds at most 2^(open candidates at i): the alive sets of one
+  // level differ only in candidates with requirements both decided and
+  // pending. The levels' entries add up to the charged states, and the
+  // widest is the reported peak.
+  std::vector<Dataset> datasets;
+  for (std::uint64_t seed = 40; seed < 46; ++seed) {
+    datasets.push_back(RandomSmallDataset(seed, 24, 4, 6));
+  }
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    UniformOptions gen;
+    gen.objects = 22;
+    gen.dimensions = 5;
+    gen.values_per_dimension = 10;
+    gen.seed = seed;
+    datasets.push_back(GenerateUniform(gen).value());
+  }
+  HashedPreferenceModel model(2013,
+                              HashedPreferenceModel::Style::kTotalUniform);
+  DoubleOracle oracle(model);
+  for (std::size_t d = 0; d < datasets.size(); ++d) {
+    const std::vector<ObjectId> candidates = AllBut(datasets[d], 0);
+    auto instance = internal::BuildFlatInstance(
+        datasets[d], 0, std::span<const ObjectId>(candidates), oracle);
+    const internal::LineageOrder order = internal::OrderLineageVariables(
+        instance.pair_ids, instance.offsets, instance.pair_count());
+    LineageDpStats stats;
+    std::vector<std::uint64_t> levels;
+    ASSERT_TRUE(internal::SolveLineage<double>(
+                    order, std::span<const double>(instance.pair_prob), {},
+                    {}, &stats, &levels)
+                    .ok());
+    const std::size_t steps = order.masks.size();
+    ASSERT_LE(levels.size(), steps);
+    std::vector<std::uint64_t> suffix(steps + 1, 0);
+    for (std::size_t i = steps; i-- > 0;) {
+      suffix[i] = suffix[i + 1] | order.masks[i];
+    }
+    std::uint64_t touched = 0;
+    std::uint64_t total = 0;
+    std::uint64_t widest = 0;
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+      const int open = std::popcount(touched & suffix[i]);
+      EXPECT_LE(levels[i], std::uint64_t{1} << open)
+          << "dataset " << d << " level " << i;
+      touched |= order.masks[i];
+      total += levels[i];
+      widest = std::max(widest, levels[i]);
+    }
+    EXPECT_EQ(total, stats.states) << "dataset " << d;
+    EXPECT_EQ(widest, stats.peak_level_entries) << "dataset " << d;
+
+    // max_states caps the widest level: the peak passes, one fewer fails.
+    LineageDpOptions roomy;
+    roomy.max_states = stats.peak_level_entries;
+    EXPECT_TRUE(internal::SolveLineage<double>(
+                    order, std::span<const double>(instance.pair_prob), {},
+                    roomy, nullptr)
+                    .ok());
+    LineageDpOptions cramped;
+    cramped.max_states = stats.peak_level_entries - 1;
+    if (cramped.max_states == 0) continue;  // 0 means unlimited
+    EXPECT_EQ(internal::SolveLineage<double>(
+                  order, std::span<const double>(instance.pair_prob), {},
+                  cramped, nullptr)
+                  .status()
+                  .code(),
+              StatusCode::kResourceExhausted)
+        << "dataset " << d;
   }
 }
 

@@ -121,8 +121,8 @@ TEST(ParallelDeterminismStressTest, IntraGroupEngineThreadSweep) {
 
 TEST(ParallelDeterminismStressTest, IntraGroupEngineBudgetRace) {
   // A budget that trips mid-solve: every thread count must agree that
-  // the solve fails (each DP state charges one unit, and the states a
-  // group memoizes do not depend on the schedule).
+  // the solve fails (each DP level entry charges one unit, and the
+  // entries a group creates do not depend on the schedule).
   Dataset data = RandomSmallDataset(22, 22, 5, 10);
   TablePreferenceModel model;
   ThreadPool inline_pool(0);

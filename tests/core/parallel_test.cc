@@ -68,7 +68,7 @@ Dataset SingleGroupDataset(std::size_t candidates) {
 
 // Uniform n = 22, d = 5, 10 values per dimension (the paper's Figure 9
 // uniform shape): every target keeps one dense ~20-candidate group whose
-// DP memoizes a few thousand states.
+// DP sweep creates a few thousand level entries.
 Dataset DenseUniformDataset() { return RandomSmallDataset(22, 22, 5, 10); }
 
 TEST(ParallelExactTest, IntraGroupSplitMatchesSerialEngine) {
@@ -137,7 +137,7 @@ TEST(ParallelExactTest, TaskCountIsPartOfTheNumericContract) {
 }
 
 TEST(ParallelExactTest, SplitGroupBudgetErrorsPropagate) {
-  // Each memoized DP state charges one unit of max_subsets.
+  // Each DP level entry charges one unit of max_subsets.
   Dataset data = DenseUniformDataset();
   HashedPreferenceModel model(2013,
                               HashedPreferenceModel::Style::kTotalUniform);
